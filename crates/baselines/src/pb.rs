@@ -49,7 +49,7 @@ pub struct PbStats {
 #[derive(Debug, Clone)]
 pub struct PbOutcome {
     /// Top-k qualifying patterns, best NM first (same contract as
-    /// `trajpattern::mine`).
+    /// `trajpattern::Miner::mine`).
     pub patterns: Vec<MinedPattern>,
     /// Work counters.
     pub stats: PbStats,
@@ -334,7 +334,10 @@ mod tests {
             .unwrap()
             .with_max_len(3)
             .unwrap();
-        let a = trajpattern::mine(&data, &grid, &params).unwrap();
+        let a = trajpattern::Miner::new(&data, &grid)
+            .params(params.clone())
+            .mine()
+            .unwrap();
         let b = mine_pb(&data, &grid, &params).unwrap();
         assert_eq!(a.patterns.len(), b.patterns.len());
         for (x, y) in a.patterns.iter().zip(&b.patterns) {

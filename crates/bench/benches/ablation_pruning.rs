@@ -5,7 +5,7 @@
 use bench::workloads::zebranet_workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn bench_pruning_variants(c: &mut Criterion) {
     let w = zebranet_workload(25, 25, 8, 7);
@@ -22,8 +22,9 @@ fn bench_pruning_variants(c: &mut Criterion) {
         let mut p = base.clone();
         p.use_bound_prune = bound;
         p.use_one_extension_prune = one_ext;
-        g.bench_with_input(BenchmarkId::from_parameter(label), &p, |b, p| {
-            b.iter(|| black_box(mine(&w.data, &w.grid, p).unwrap()))
+        let miner = Miner::new(&w.data, &w.grid).params(p);
+        g.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
+            b.iter(|| black_box(miner.mine().unwrap()))
         });
     }
     g.finish();

@@ -7,7 +7,7 @@ use baselines::pb::mine_pb_budgeted;
 use bench::workloads::zebranet_workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 const DELTA: f64 = 0.03;
 const MAX_LEN: usize = 5;
@@ -27,7 +27,8 @@ fn bench_vs_k(c: &mut Criterion) {
     g.sample_size(10);
     for k in [4usize, 8, 16] {
         g.bench_with_input(BenchmarkId::new("trajpattern", k), &k, |b, &k| {
-            b.iter(|| black_box(mine(&w.data, &w.grid, &params(k)).unwrap()))
+            let miner = Miner::new(&w.data, &w.grid).params(params(k));
+            b.iter(|| black_box(miner.mine().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("pb", k), &k, |b, &k| {
             b.iter(|| black_box(mine_pb_budgeted(&w.data, &w.grid, &params(k), PB_BUDGET).unwrap()))
@@ -43,7 +44,8 @@ fn bench_vs_s(c: &mut Criterion) {
     for s in [15usize, 30, 60] {
         let w = zebranet_workload(s, 30, 10, 7);
         g.bench_with_input(BenchmarkId::new("trajpattern", s), &s, |b, _| {
-            b.iter(|| black_box(mine(&w.data, &w.grid, &params(8)).unwrap()))
+            let miner = Miner::new(&w.data, &w.grid).params(params(8));
+            b.iter(|| black_box(miner.mine().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("pb", s), &s, |b, _| {
             b.iter(|| black_box(mine_pb_budgeted(&w.data, &w.grid, &params(8), PB_BUDGET).unwrap()))
@@ -59,7 +61,8 @@ fn bench_vs_l(c: &mut Criterion) {
     for l in [15usize, 30, 60] {
         let w = zebranet_workload(30, l, 10, 7);
         g.bench_with_input(BenchmarkId::new("trajpattern", l), &l, |b, _| {
-            b.iter(|| black_box(mine(&w.data, &w.grid, &params(8)).unwrap()))
+            let miner = Miner::new(&w.data, &w.grid).params(params(8));
+            b.iter(|| black_box(miner.mine().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("pb", l), &l, |b, _| {
             b.iter(|| black_box(mine_pb_budgeted(&w.data, &w.grid, &params(8), PB_BUDGET).unwrap()))
@@ -76,7 +79,8 @@ fn bench_vs_g(c: &mut Criterion) {
         let w = zebranet_workload(30, 30, side, 7);
         let cells = side * side;
         g.bench_with_input(BenchmarkId::new("trajpattern", cells), &cells, |b, _| {
-            b.iter(|| black_box(mine(&w.data, &w.grid, &params(8)).unwrap()))
+            let miner = Miner::new(&w.data, &w.grid).params(params(8));
+            b.iter(|| black_box(miner.mine().unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("pb", cells), &cells, |b, _| {
             b.iter(|| black_box(mine_pb_budgeted(&w.data, &w.grid, &params(8), PB_BUDGET).unwrap()))

@@ -4,7 +4,7 @@
 use bench::workloads::zebranet_workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn bench_vs_delta(c: &mut Criterion) {
     let w = zebranet_workload(30, 30, 10, 7);
@@ -17,10 +17,11 @@ fn bench_vs_delta(c: &mut Criterion) {
             .unwrap()
             .with_gamma(0.15)
             .unwrap();
+        let miner = Miner::new(&w.data, &w.grid).params(params);
         g.bench_with_input(
             BenchmarkId::from_parameter(format!("delta_{delta}")),
             &delta,
-            |b, _| b.iter(|| black_box(mine(&w.data, &w.grid, &params).unwrap())),
+            |b, _| b.iter(|| black_box(miner.mine().unwrap())),
         );
     }
     g.finish();

@@ -5,7 +5,7 @@ use bench::workloads::zebranet_workload;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use trajgeo::CellId;
-use trajpattern::{mine, MiningParams, Pattern, Scorer};
+use trajpattern::{Miner, MiningParams, Pattern, Scorer};
 
 fn bench_nm_scoring(c: &mut Criterion) {
     let w = zebranet_workload(40, 40, 12, 3);
@@ -32,8 +32,9 @@ fn bench_singular_pass(c: &mut Criterion) {
 fn bench_full_mine(c: &mut Criterion) {
     let w = zebranet_workload(20, 25, 8, 3);
     let params = MiningParams::new(8, 0.04).unwrap().with_max_len(4).unwrap();
+    let miner = Miner::new(&w.data, &w.grid).params(params);
     c.bench_function("mine_small_k8", |b| {
-        b.iter(|| black_box(mine(&w.data, &w.grid, &params).unwrap()))
+        b.iter(|| black_box(miner.mine().unwrap()))
     });
 }
 
@@ -43,7 +44,7 @@ fn bench_groups(c: &mut Criterion) {
         .unwrap()
         .with_max_len(4)
         .unwrap();
-    let out = mine(&w.data, &w.grid, &params).unwrap();
+    let out = Miner::new(&w.data, &w.grid).params(params).mine().unwrap();
     c.bench_function("group_discovery_k30", |b| {
         b.iter(|| {
             black_box(trajpattern::groups::discover_groups(

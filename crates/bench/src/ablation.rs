@@ -10,7 +10,7 @@
 use crate::workloads::zebranet_workload;
 use serde::Serialize;
 use std::time::Instant;
-use trajpattern::{mine, MiningParams, MiningStats};
+use trajpattern::{Miner, MiningParams, MiningStats};
 
 /// One ablation configuration's measurements.
 #[derive(Debug, Clone, Serialize)]
@@ -68,7 +68,10 @@ pub fn run(
         p.use_bound_prune = bound;
         p.use_one_extension_prune = one_ext;
         let t0 = Instant::now();
-        let out = mine(&w.data, &w.grid, &p).expect("mining succeeds");
+        let out = Miner::new(&w.data, &w.grid)
+            .params(p)
+            .mine()
+            .expect("mining succeeds");
         let secs = t0.elapsed().as_secs_f64();
         let nms: Vec<f64> = out.patterns.iter().map(|m| m.nm).collect();
         match &reference {

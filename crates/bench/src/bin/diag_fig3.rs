@@ -7,7 +7,7 @@ use bench::workloads::{bus_velocity_grid, bus_workload};
 use datagen::observe_via_reporting;
 use mobility::{LinearModel, ReportingScheme};
 use prediction::{evaluate_paths_detailed, PatternLibrary};
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn main() {
     let k: usize = std::env::args()
@@ -28,7 +28,10 @@ fn main() {
         .unwrap()
         .with_max_len(8)
         .unwrap();
-    let nm_out = mine(&velocities, &grid, &params).unwrap();
+    let nm_out = Miner::new(&velocities, &grid)
+        .params(params)
+        .mine()
+        .unwrap();
     let lib =
         PatternLibrary::new(nm_out.patterns.clone(), grid.clone(), 0.005, 1e-12, 0.9).unwrap();
 

@@ -3,7 +3,7 @@
 use bench::workloads::{bus_velocity_grid, bus_workload};
 use datagen::observe_via_reporting;
 use mobility::{LinearModel, ReportingScheme};
-use trajpattern::{mine, MiningParams, Scorer};
+use trajpattern::{Miner, MiningParams, Scorer};
 
 fn main() {
     let w = bus_workload(100, 11);
@@ -39,7 +39,10 @@ fn main() {
         .unwrap()
         .with_max_len(8)
         .unwrap();
-    let out = mine(&velocities, &grid, &params).unwrap();
+    let out = Miner::new(&velocities, &grid)
+        .params(params.clone())
+        .mine()
+        .unwrap();
     println!(
         "NM top-50 (iters {}, scored {}):",
         out.stats.iterations, out.stats.candidates_scored

@@ -23,7 +23,7 @@ use datagen::observe_via_reporting;
 use mobility::{KalmanModel, LinearModel, MotionModel, RecursiveMotionModel, ReportingScheme};
 use prediction::{evaluate_paths, PatternLibrary};
 use serde::Serialize;
-use trajpattern::{mine, MinedPattern, MiningParams};
+use trajpattern::{MinedPattern, Miner, MiningParams};
 
 /// Configuration of the Fig. 3 experiment.
 ///
@@ -127,7 +127,10 @@ pub fn run(cfg: &Fig3Config) -> Fig3Result {
         .expect("valid params")
         .with_max_len(cfg.max_len)
         .expect("valid params");
-    let nm_out = mine(&velocities, &grid, &params).expect("NM mining succeeds");
+    let nm_out = Miner::new(&velocities, &grid)
+        .params(params.clone())
+        .mine()
+        .expect("NM mining succeeds");
     let match_out = mine_match(&velocities, &grid, &params).expect("match mining succeeds");
     let match_as_mined: Vec<MinedPattern> = match_out
         .patterns

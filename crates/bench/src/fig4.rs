@@ -18,7 +18,7 @@ use serde::Serialize;
 use std::time::Instant;
 use trajdata::Dataset;
 use trajgeo::Grid;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 /// Base configuration shared by the four sweeps.
 #[derive(Debug, Clone, Serialize)]
@@ -97,7 +97,10 @@ fn measure_once(data: &Dataset, grid: &Grid, k: usize, cfg: &Fig4Config, x: f64)
         .expect("valid params");
 
     let t0 = Instant::now();
-    let tp = mine(data, grid, &params).expect("mining succeeds");
+    let tp = Miner::new(data, grid)
+        .params(params.clone())
+        .mine()
+        .expect("mining succeeds");
     let trajpattern_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
@@ -205,7 +208,12 @@ pub fn sweep_threads(cfg: &Fig4Config, thread_counts: &[usize]) -> ThreadsSweepR
         .collect();
     let references: Vec<_> = workloads
         .iter()
-        .map(|w| mine(&w.data, &w.grid, &params).expect("mining succeeds"))
+        .map(|w| {
+            Miner::new(&w.data, &w.grid)
+                .params(params.clone())
+                .mine()
+                .expect("mining succeeds")
+        })
         .collect();
 
     let n = cfg.seeds.len().max(1) as f64;
@@ -218,7 +226,10 @@ pub fn sweep_threads(cfg: &Fig4Config, thread_counts: &[usize]) -> ThreadsSweepR
             let mut identical = true;
             for (w, reference) in workloads.iter().zip(&references) {
                 let t0 = Instant::now();
-                let out = mine(&w.data, &w.grid, &tparams).expect("mining succeeds");
+                let out = Miner::new(&w.data, &w.grid)
+                    .params(tparams.clone())
+                    .mine()
+                    .expect("mining succeeds");
                 secs += t0.elapsed().as_secs_f64();
                 scored += out.stats.candidates_scored;
                 identical &=

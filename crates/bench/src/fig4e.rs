@@ -9,7 +9,7 @@
 
 use crate::workloads::zebranet_workload;
 use serde::Serialize;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 /// Configuration of the δ sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -79,7 +79,10 @@ pub fn sweep_delta(cfg: &Fig4eConfig, deltas: &[f64]) -> Fig4eResult {
                 .expect("valid params")
                 .with_gamma(cfg.gamma + 2.0 * delta)
                 .expect("valid params");
-            let out = mine(&w.data, &w.grid, &params).expect("mining succeeds");
+            let out = Miner::new(&w.data, &w.grid)
+                .params(params)
+                .mine()
+                .expect("mining succeeds");
             DeltaPoint {
                 delta,
                 patterns: out.patterns.len(),

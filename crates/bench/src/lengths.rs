@@ -13,7 +13,7 @@ use baselines::mine_match;
 use datagen::observe_via_reporting;
 use mobility::{LinearModel, ReportingScheme};
 use serde::Serialize;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 /// Configuration of the length-statistic experiment.
 #[derive(Debug, Clone, Serialize)]
@@ -76,7 +76,10 @@ pub fn run(cfg: &LengthsConfig) -> LengthsResult {
         .with_max_len(cfg.max_len)
         .expect("valid params");
 
-    let nm_out = mine(&velocities, &grid, &params).expect("NM mining succeeds");
+    let nm_out = Miner::new(&velocities, &grid)
+        .params(params.clone())
+        .mine()
+        .expect("NM mining succeeds");
     let match_out = mine_match(&velocities, &grid, &params).expect("match mining succeeds");
 
     let avg = |lens: Vec<usize>| -> f64 {

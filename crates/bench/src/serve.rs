@@ -38,7 +38,7 @@ pub struct ServeBenchConfig {
     pub clients: usize,
     /// Requests each client issues.
     pub requests_per_client: usize,
-    /// Trajectories in every `POST /score` body.
+    /// Trajectories in every `POST /v1/score` body.
     pub score_trajectories: usize,
     /// Server worker threads.
     pub workers: usize,

@@ -166,8 +166,10 @@ mod tests {
 
     #[test]
     fn feed_takes_a_second_command_word() {
-        let a = Args::parse(v(&["feed", "decode", "--input", "d.drlog", "--out", "d.events"]))
-            .unwrap();
+        let a = Args::parse(v(&[
+            "feed", "decode", "--input", "d.drlog", "--out", "d.events",
+        ]))
+        .unwrap();
         assert_eq!(a.command, "feed decode");
         assert!(matches!(
             Args::parse(v(&["feed"])),

@@ -149,9 +149,8 @@ counters: requests, latency buckets, queue depth, scorer stats). The
 POST routes share one query schema: `{\"trajectories\": [...],
 \"options\": {\"measure\", \"use_index\", \"patterns\"}}` — a plain
 dataset JSON works as-is; errors come back as
-`{\"error\": {\"code\", \"message\"}}`. The pre-/v1 routes (/topk,
-/score, /match, /predict) remain as deprecated aliases. The
-accept queue is bounded (--queue, default 64) and answers 503 when full;
+`{\"error\": {\"code\", \"message\"}}`. The accept queue is bounded
+(--queue, default 64) and answers 503 when full;
 --workers (default 2) sets the handler pool; termination signals drain
 in-flight requests before exit. --watch true hot-reloads the snapshot
 whenever the file is rewritten (e.g. by a live `stream --checkpoint`
@@ -254,7 +253,11 @@ fn generate(args: &Args) -> Result<(), Box<dyn Error>> {
             cfg.routes,
             cfg.vehicles_per_route,
             cfg.reports_per_vehicle,
-            if cfg.geo_origin.is_some() { " (geodetic)" } else { "" },
+            if cfg.geo_origin.is_some() {
+                " (geodetic)"
+            } else {
+                ""
+            },
         );
         return Ok(());
     }
@@ -766,7 +769,12 @@ fn stream_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
         eprintln!("termination signal received: draining stream state");
     }
 
-    finish_stream(args, &mut miner, checkpoint_path.as_deref(), Some(&feed_stats))
+    finish_stream(
+        args,
+        &mut miner,
+        checkpoint_path.as_deref(),
+        Some(&feed_stats),
+    )
 }
 
 /// Prints the periodic top-k snapshot line (and refreshes the
@@ -1323,13 +1331,21 @@ mod tests {
         };
         let listen = format!("127.0.0.1:{port}");
         let sender_args = args(&["feed", "send", "--input", &events_str, "--listen", &listen]);
-        let sender =
-            std::thread::spawn(move || dispatch(&sender_args).map_err(|e| e.to_string()));
+        let sender = std::thread::spawn(move || dispatch(&sender_args).map_err(|e| e.to_string()));
         // Wait for the listener to come up before the client connects.
         std::thread::sleep(std::time::Duration::from_millis(100));
 
         let common = [
-            "--window", "8", "--k", "3", "--grid", "6", "--max-len", "3", "--bbox", "0,0,1,1",
+            "--window",
+            "8",
+            "--k",
+            "3",
+            "--grid",
+            "6",
+            "--max-len",
+            "3",
+            "--bbox",
+            "0,0,1,1",
         ];
         let sock_json = dir.join("sock.json");
         let mut over_socket = vec!["stream", "--input"];

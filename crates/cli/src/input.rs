@@ -77,7 +77,8 @@ pub fn dr_config(args: &Args) -> Result<trajfeed::DrConfig, Box<dyn Error>> {
         growth_rate: args.get_or("dr-growth", defaults.growth_rate)?,
         dt: args.get_or("dr-dt", defaults.dt)?,
     };
-    cfg.validate().map_err(|m| format!("dead-reckoning config: {m}"))?;
+    cfg.validate()
+        .map_err(|m| format!("dead-reckoning config: {m}"))?;
     Ok(cfg)
 }
 

@@ -190,8 +190,16 @@ mod tests {
         // projection round-trip error, far below a meter at city scale).
         for t in &trajs {
             for sp in t.points() {
-                assert!((-1.0..=cfg.extent + 1.0).contains(&sp.mean.x), "{}", sp.mean.x);
-                assert!((-1.0..=cfg.extent + 1.0).contains(&sp.mean.y), "{}", sp.mean.y);
+                assert!(
+                    (-1.0..=cfg.extent + 1.0).contains(&sp.mean.x),
+                    "{}",
+                    sp.mean.x
+                );
+                assert!(
+                    (-1.0..=cfg.extent + 1.0).contains(&sp.mean.y),
+                    "{}",
+                    sp.mean.y
+                );
             }
         }
     }
@@ -204,7 +212,11 @@ mod tests {
             let parts: Vec<&str> = line.split_whitespace().collect();
             let t: f64 = parts[3].parse().unwrap();
             if let Some(prev) = last.insert(parts[1].to_string(), t) {
-                assert!(t > prev, "vehicle {} times must strictly increase", parts[1]);
+                assert!(
+                    t > prev,
+                    "vehicle {} times must strictly increase",
+                    parts[1]
+                );
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   trip's shape at a report time.
 //! - **synchronize (§3.2)**: the asynchronous reports are interpolated
 //!   onto the shared `dt` lattice ([`trajdata::resample::schedule_covering`]
-//!   + [`trajdata::resample::resample_linear`]), so every vehicle lands
+//!   then [`trajdata::resample::resample_linear`]), so every vehicle lands
 //!   on the *same* snapshot schedule — the precondition for mining
 //!   across objects.
 //! - **reconstruct (§3.1)**: each synchronized snapshot gets
@@ -80,13 +80,19 @@ impl DrConfig {
     /// Validates the parameters; an error message on the first problem.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.u.is_finite() && self.u >= 0.0) {
-            return Err(format!("dead-reckoning tolerance U must be >= 0, got {}", self.u));
+            return Err(format!(
+                "dead-reckoning tolerance U must be >= 0, got {}",
+                self.u
+            ));
         }
         if !(self.c.is_finite() && self.c > 0.0) {
             return Err(format!("sigma divisor c must be > 0, got {}", self.c));
         }
         if !(self.growth_rate.is_finite() && self.growth_rate >= 0.0) {
-            return Err(format!("growth rate must be >= 0, got {}", self.growth_rate));
+            return Err(format!(
+                "growth rate must be >= 0, got {}",
+                self.growth_rate
+            ));
         }
         if !(self.dt.is_finite() && self.dt > 0.0) {
             return Err(format!("snapshot spacing dt must be > 0, got {}", self.dt));
@@ -280,7 +286,10 @@ impl DrDecoder {
                 let t = parse_float(rest[2], line)?;
                 let odo = parse_float(rest[3], line)?;
                 if !self.shapes.contains_key(trip) {
-                    return Err(protocol(line, &format!("report references unknown trip '{trip}'")));
+                    return Err(protocol(
+                        line,
+                        &format!("report references unknown trip '{trip}'"),
+                    ));
                 }
                 let buf = self
                     .vehicles
@@ -309,7 +318,10 @@ impl DrDecoder {
                 }
                 let vehicle = rest[0];
                 let Some(buf) = self.vehicles.remove(vehicle) else {
-                    return Err(protocol(line, &format!("end for unknown vehicle '{vehicle}'")));
+                    return Err(protocol(
+                        line,
+                        &format!("end for unknown vehicle '{vehicle}'"),
+                    ));
                 };
                 return Ok(self.reconstruct(&buf));
             }
@@ -607,15 +619,17 @@ mod tests {
     fn geo_mode_projects_through_the_reference_origin() {
         let mut log = dr_header(Some((40.7128, -74.0060)));
         // A shape running ~1.1 km due north of the origin.
-        append_shape(
-            &mut log,
-            "r1",
-            &[(40.7128, -74.0060), (40.7228, -74.0060)],
-        );
+        append_shape(&mut log, "r1", &[(40.7128, -74.0060), (40.7228, -74.0060)]);
         append_report(&mut log, "v", "r1", 0.0, 0.0);
         append_report(&mut log, "v", "r1", 2.0, 1000.0);
         append_end(&mut log, "v");
-        let recs = decode(&log, DrConfig { u: 50.0, ..DrConfig::default() });
+        let recs = decode(
+            &log,
+            DrConfig {
+                u: 50.0,
+                ..DrConfig::default()
+            },
+        );
         let traj = &recs[0].trajectory;
         assert_eq!(traj.len(), 3);
         // Midpoint: 500 m north of the origin, on the meridian.

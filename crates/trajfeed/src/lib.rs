@@ -106,7 +106,10 @@ impl fmt::Display for FeedError {
         match self {
             FeedError::Io(e) => write!(f, "feed read failed: {e}"),
             FeedError::Version { found, expected } => {
-                write!(f, "not a recognized stream: first line is '{found}' (expected '{expected}')")
+                write!(
+                    f,
+                    "not a recognized stream: first line is '{found}' (expected '{expected}')"
+                )
             }
             FeedError::Protocol { line, message } => write!(f, "feed line {line}: {message}"),
             FeedError::Record { line, message } => {
@@ -116,7 +119,10 @@ impl fmt::Display for FeedError {
                 addr,
                 attempts,
                 message,
-            } => write!(f, "connect to {addr} failed after {attempts} attempts: {message}"),
+            } => write!(
+                f,
+                "connect to {addr} failed after {attempts} attempts: {message}"
+            ),
             FeedError::Store(e) => write!(f, "feed store: {e}"),
             FeedError::Csv(e) => write!(f, "feed csv: {e}"),
             FeedError::Config(m) => write!(f, "feed config: {m}"),

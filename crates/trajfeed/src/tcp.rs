@@ -82,9 +82,7 @@ impl TcpLineSource {
     }
 
     fn take_line(&mut self) -> Option<Result<String, FeedError>> {
-        let nl = self.buf[self.consumed..]
-            .iter()
-            .position(|&b| b == b'\n')?;
+        let nl = self.buf[self.consumed..].iter().position(|&b| b == b'\n')?;
         let line = &self.buf[self.consumed..self.consumed + nl];
         let out = match std::str::from_utf8(line) {
             Ok(s) => Ok(s.trim_end_matches('\r').to_string()),

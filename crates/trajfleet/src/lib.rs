@@ -489,9 +489,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(&specs[0].source, ShardSource::Events(_)));
-        assert!(
-            matches!(&specs[1].source, ShardSource::EventsTcp(a) if a == "10.0.0.2:9009")
-        );
+        assert!(matches!(&specs[1].source, ShardSource::EventsTcp(a) if a == "10.0.0.2:9009"));
         assert!(matches!(&specs[2].source, ShardSource::Dr(_)));
         assert!(matches!(&specs[3].source, ShardSource::DrTcp(a) if a == "h:1"));
     }

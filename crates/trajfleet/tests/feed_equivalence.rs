@@ -41,7 +41,10 @@ fn workload(seed: u64, traces: usize, snapshots: usize) -> (Dataset, String) {
 /// fingerprints mean bit-identical mining state.
 fn fingerprint(trajs: &[Trajectory], k: usize, delta: f64) -> (String, String) {
     let grid = Grid::new(BBox::unit(), 4, 4).unwrap();
-    let params = MiningParams::new(k, delta).unwrap().with_max_len(3).unwrap();
+    let params = MiningParams::new(k, delta)
+        .unwrap()
+        .with_max_len(3)
+        .unwrap();
     let mut miner = StreamMiner::new(grid, params).unwrap();
     for t in trajs {
         miner.slide(t.clone(), WINDOW);
@@ -143,8 +146,7 @@ fn socket_reconnect_with_torn_frame_recovers_every_record() {
     let second = format!("{version}\n{}\n# eof\n", records[mid..].join("\n"));
 
     let (addr, sender) = serve_payloads(vec![first, second]);
-    let mut feed =
-        trajfeed::open(&SourceSpec::EventsTcp(addr), &FeedOptions::default()).unwrap();
+    let mut feed = trajfeed::open(&SourceSpec::EventsTcp(addr), &FeedOptions::default()).unwrap();
     let got = trajfeed::drain(feed.as_mut(), &AtomicBool::new(false)).unwrap();
     sender.join().unwrap();
 
@@ -157,7 +159,10 @@ fn socket_reconnect_with_torn_frame_recovers_every_record() {
     let stats = feed.stats();
     assert_eq!(stats.records, data.len() as u64);
     assert_eq!(stats.reconnects, 1, "one transport failure");
-    assert_eq!(stats.recovery_torn, 1, "the partial line was diagnosed torn");
+    assert_eq!(
+        stats.recovery_torn, 1,
+        "the partial line was diagnosed torn"
+    );
     assert_eq!(stats.recovery_clean, 0);
 }
 
@@ -174,8 +179,7 @@ fn socket_reconnect_on_a_frame_boundary_is_a_clean_recovery() {
     let second = format!("{version}\n{}\n# eof\n", records[mid..].join("\n"));
 
     let (addr, sender) = serve_payloads(vec![first, second]);
-    let mut feed =
-        trajfeed::open(&SourceSpec::EventsTcp(addr), &FeedOptions::default()).unwrap();
+    let mut feed = trajfeed::open(&SourceSpec::EventsTcp(addr), &FeedOptions::default()).unwrap();
     let got = trajfeed::drain(feed.as_mut(), &AtomicBool::new(false)).unwrap();
     sender.join().unwrap();
 

@@ -45,16 +45,15 @@
 //!
 //! The loop itself — level initialization, pair enumeration, pruning,
 //! convergence — lives in [`crate::engine`], shared with the seeded
-//! re-growth and the streaming repair path; this module is the batch
-//! entry point plus the outcome/stat types.
+//! re-growth and the streaming repair path; this module holds the
+//! scorer-reusing batch entry point plus the outcome/stat types. Most
+//! callers mine through [`crate::Miner`].
 
 use crate::engine::{empty_outcome, finish, init_state, run_growth};
 use crate::groups::PatternGroup;
 use crate::params::{MiningParams, ParamsError};
 use crate::pattern::MinedPattern;
 use crate::scorer::Scorer;
-use trajdata::Dataset;
-use trajgeo::Grid;
 
 pub use crate::engine::{effective_max_len_from, seed_patterns};
 pub use crate::stats::MiningStats;
@@ -77,24 +76,10 @@ pub struct MiningOutcome {
     pub scorer: crate::ScorerStats,
 }
 
-/// Mines the top-k NM patterns from `data` over `grid`.
-///
-/// This is a thin compatibility wrapper around the [`crate::Miner`]
-/// session API; see the crate docs for an example. Returns `Err` only for
-/// invalid parameters.
-pub fn mine(
-    data: &Dataset,
-    grid: &Grid,
-    params: &MiningParams,
-) -> Result<MiningOutcome, ParamsError> {
-    params.validate()?;
-    let scorer = Scorer::with_threads(data, grid, params.delta, params.min_prob, params.threads);
-    mine_with_scorer(&scorer, params)
-}
-
-/// Like [`mine`], but reuses an existing [`Scorer`] (and its probability
-/// cache) — useful when several mining configurations run over the same
-/// data, as in the benchmark sweeps.
+/// Mines the top-k NM patterns with an existing [`Scorer`], reusing its
+/// probability cache — useful when several mining configurations run
+/// over the same data. [`crate::Miner`] builds its own scorer instead.
+/// Returns `Err` only for invalid parameters.
 pub fn mine_with_scorer(
     scorer: &Scorer<'_>,
     params: &MiningParams,
@@ -115,9 +100,10 @@ pub fn mine_with_scorer(
 mod tests {
     use super::*;
     use crate::pattern::Pattern;
-    use trajdata::{SnapshotPoint, Trajectory};
+    use crate::Miner;
+    use trajdata::{Dataset, SnapshotPoint, Trajectory};
     use trajgeo::fxhash::FxHashSet;
-    use trajgeo::{BBox, CellId, Point2};
+    use trajgeo::{BBox, CellId, Grid, Point2};
 
     fn pat(ids: &[u32]) -> Pattern {
         Pattern::new(ids.iter().map(|&i| CellId(i)).collect()).unwrap()
@@ -146,7 +132,7 @@ mod tests {
     fn finds_the_dominant_singulars() {
         let (data, grid) = sweep_data(8, 0.03);
         let params = MiningParams::new(4, 0.1).unwrap().with_max_len(1).unwrap();
-        let out = mine(&data, &grid, &params).unwrap();
+        let out = Miner::new(&data, &grid).params(params).mine().unwrap();
         assert_eq!(out.patterns.len(), 4);
         // The four on-path cells dominate all others.
         let found: FxHashSet<Pattern> = out.patterns.iter().map(|m| m.pattern.clone()).collect();
@@ -164,7 +150,7 @@ mod tests {
             .unwrap()
             .with_max_len(4)
             .unwrap();
-        let out = mine(&data, &grid, &params).unwrap();
+        let out = Miner::new(&data, &grid).params(params).mine().unwrap();
         assert_eq!(out.patterns.len(), 1);
         assert_eq!(out.patterns[0].pattern, pat(&[8, 9, 10, 11]));
     }
@@ -173,7 +159,7 @@ mod tests {
     fn results_are_sorted_and_truncated() {
         let (data, grid) = sweep_data(5, 0.05);
         let params = MiningParams::new(7, 0.1).unwrap().with_max_len(3).unwrap();
-        let out = mine(&data, &grid, &params).unwrap();
+        let out = Miner::new(&data, &grid).params(params).mine().unwrap();
         assert_eq!(out.patterns.len(), 7);
         for w in out.patterns.windows(2) {
             assert!(w[0].nm >= w[1].nm);
@@ -184,7 +170,10 @@ mod tests {
     fn empty_dataset_returns_empty() {
         let grid = Grid::new(BBox::unit(), 4, 4).unwrap();
         let params = MiningParams::new(3, 0.1).unwrap();
-        let out = mine(&Dataset::new(), &grid, &params).unwrap();
+        let out = Miner::new(&Dataset::new(), &grid)
+            .params(params)
+            .mine()
+            .unwrap();
         assert!(out.patterns.is_empty());
         assert_eq!(out.stats.iterations, 0);
     }
@@ -198,8 +187,8 @@ mod tests {
         let mut no_prune = base.clone();
         no_prune.use_bound_prune = false;
         no_prune.use_one_extension_prune = false;
-        let a = mine(&data, &grid, &base).unwrap();
-        let b = mine(&data, &grid, &no_prune).unwrap();
+        let a = Miner::new(&data, &grid).params(base).mine().unwrap();
+        let b = Miner::new(&data, &grid).params(no_prune).mine().unwrap();
         let pa: Vec<_> = a.patterns.iter().map(|m| m.pattern.clone()).collect();
         let pb: Vec<_> = b.patterns.iter().map(|m| m.pattern.clone()).collect();
         assert_eq!(pa, pb);
@@ -211,7 +200,7 @@ mod tests {
     fn bound_pruning_saves_work() {
         let (data, grid) = sweep_data(6, 0.06);
         let base = MiningParams::new(3, 0.1).unwrap().with_max_len(4).unwrap();
-        let out = mine(&data, &grid, &base).unwrap();
+        let out = Miner::new(&data, &grid).params(base).mine().unwrap();
         assert!(
             out.stats.candidates_bound_pruned > 0,
             "bound pruning should fire on a 16-cell grid"
@@ -222,8 +211,11 @@ mod tests {
     fn deterministic_across_runs() {
         let (data, grid) = sweep_data(6, 0.05);
         let params = MiningParams::new(6, 0.1).unwrap().with_max_len(3).unwrap();
-        let a = mine(&data, &grid, &params).unwrap();
-        let b = mine(&data, &grid, &params).unwrap();
+        let a = Miner::new(&data, &grid)
+            .params(params.clone())
+            .mine()
+            .unwrap();
+        let b = Miner::new(&data, &grid).params(params).mine().unwrap();
         let pa: Vec<_> = a
             .patterns
             .iter()
@@ -246,7 +238,7 @@ mod tests {
             .unwrap()
             .with_max_len(4)
             .unwrap();
-        let out = mine(&data, &grid, &params).unwrap();
+        let out = Miner::new(&data, &grid).params(params).mine().unwrap();
         assert!(!out.patterns.is_empty());
         for m in &out.patterns {
             assert!(m.pattern.len() >= 3, "pattern {} too short", m.pattern);
@@ -258,7 +250,7 @@ mod tests {
         // Candidates are scored at most once across iterations.
         let (data, grid) = sweep_data(8, 0.05);
         let params = MiningParams::new(8, 0.1).unwrap().with_max_len(4).unwrap();
-        let out = mine(&data, &grid, &params).unwrap();
+        let out = Miner::new(&data, &grid).params(params).mine().unwrap();
         // generated counts distinct ordered pairs only.
         assert!(out.stats.candidates_scored <= out.stats.candidates_generated);
     }

@@ -3,7 +3,7 @@
 //! Enumerates *every* pattern up to `max_len` over the grid and ranks by
 //! NM. Exponential in pattern length (`G^len` candidates) — usable only on
 //! tiny instances, which is exactly its job: the integration tests compare
-//! [`crate::mine`] and the baseline miners against this ground truth.
+//! [`crate::Miner`] and the baseline miners against this ground truth.
 
 use crate::params::MiningParams;
 use crate::pattern::{MinedPattern, Pattern};

@@ -1,29 +1,25 @@
 //! The shared growth engine: one candidate/prune/top-k loop for every
 //! miner in the stack.
 //!
-//! Historically the batch miner ([`crate::mine`]), the seeded re-growth
-//! behind the streaming repair path ([`crate::mine_seeded`]), and the
-//! checkpointing session API ([`crate::Miner`]) each carried their own
-//! copy of the growing process — the same candidate enumeration, the same
+//! Historically the batch miner, the seeded re-growth behind the
+//! streaming repair path ([`crate::mine_seeded`]), and the checkpointing
+//! session API ([`crate::Miner`]) each carried their own copy of the
+//! growing process — the same candidate enumeration, the same
 //! weighted-mean bound, the same τ pruning, duplicated. This module is
 //! the single implementation all of them drive. It is parameterized over
 //! an [`NmSource`]: anything that can score patterns and describe the
 //! data enough for the exactness arguments (grid, longest trajectory,
 //! singular NMs) can power a growth run.
 //!
-//! Three sources exist:
+//! Two sources exist:
 //!
-//! - [`Scorer`] itself — the dense batch source used by `mine`;
+//! - [`Scorer`] itself — the dense batch source used by [`crate::Miner`];
 //! - [`SeededSource`] — a scorer plus an exact-NM memo over a seed set
 //!   (the streaming ledger's folded sums). The memo is a safety net: the
 //!   growth loop only scores candidates absent from its store, and every
 //!   seed starts *in* the store, so a correctly seeded run never consults
 //!   it — but if it did, the exact ledger value would come back instead
-//!   of a recomputation;
-//! - [`SparseSource`] — the arrival-delta source the streaming ledger
-//!   uses to score its patterns against a single new trajectory (kept as
-//!   a named wrapper for clarity; scoring itself is the same unified
-//!   corridor path).
+//!   of a recomputation.
 //!
 //! Every source funnels batches through [`indexed_score`]: large batches
 //! get a [`PatternIndex`](crate::index::PatternIndex) over their bounding
@@ -215,56 +211,6 @@ impl NmSource for SeededSource<'_, '_> {
 
     fn scorer_stats(&self) -> crate::ScorerStats {
         self.scorer.stats()
-    }
-}
-
-/// The arrival-delta source: the streaming ledger scores every tracked
-/// pattern against a one-trajectory dataset, where most patterns never
-/// come near the newcomer and resolve to the floor constant. Corridor
-/// skipping (once this wrapper's private superpower, as
-/// `score_batch_sparse`) is now how every batch scores, so this is a thin
-/// alias over the shared [`indexed_score`] funnel, kept for the streaming
-/// call sites' readability.
-pub struct SparseSource<'s, 'a>(&'s Scorer<'a>);
-
-impl<'s, 'a> SparseSource<'s, 'a> {
-    /// Wraps `scorer`.
-    pub fn new(scorer: &'s Scorer<'a>) -> SparseSource<'s, 'a> {
-        SparseSource(scorer)
-    }
-}
-
-impl NmSource for SparseSource<'_, '_> {
-    fn grid(&self) -> &Grid {
-        self.0.grid()
-    }
-
-    fn longest_trajectory(&self) -> usize {
-        NmSource::longest_trajectory(self.0)
-    }
-
-    fn nm_all_singulars(&self) -> Vec<f64> {
-        self.0.nm_all_singulars()
-    }
-
-    fn score_batch(&self, batch: &[Pattern]) -> Vec<f64> {
-        indexed_score(self.0, batch)
-    }
-
-    fn seed_patterns(&self, min_len: usize, k: usize) -> Vec<Pattern> {
-        seed_patterns(self.0, min_len, k)
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.0.evaluations()
-    }
-
-    fn degraded_rescores(&self) -> u64 {
-        self.0.degraded_rescores()
-    }
-
-    fn scorer_stats(&self) -> crate::ScorerStats {
-        self.0.stats()
     }
 }
 
@@ -875,28 +821,6 @@ mod tests {
         }
         // Unset omega disables the threshold.
         assert_eq!(tau(3, f64::NEG_INFINITY, best, 8), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn sparse_source_matches_dense_scoring_bit_for_bit() {
-        let (data, grid) = sweep_data(3, 0.04);
-        let params = MiningParams::new(4, 0.1).unwrap();
-        let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
-        let patterns: Vec<Pattern> = grid
-            .cells()
-            .map(Pattern::singular)
-            .chain(grid.cells().map(|c| {
-                Pattern::singular(c).concat(&Pattern::singular(trajgeo::CellId(
-                    (c.0 + 1) % grid.num_cells(),
-                )))
-            }))
-            .collect();
-        let dense = NmSource::score_batch(&scorer, &patterns);
-        let sparse = SparseSource::new(&scorer).score_batch(&patterns);
-        assert_eq!(dense.len(), sparse.len());
-        for (a, b) in dense.iter().zip(&sparse) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

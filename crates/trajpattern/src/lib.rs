@@ -23,17 +23,17 @@
 //!
 //! The Apriori property fails for NM, but the **min-max property** holds:
 //! `NM(P'·P'') ≤ max(NM(P'), NM(P''))` — in fact the proof yields the
-//! tighter weighted-mean bound used by [`minmax`]. [`algorithm::mine`]
-//! implements the paper's growing process: singular patterns seed a
-//! candidate set `Q`; high patterns (NM above the running k-th-best
-//! threshold ω) are concatenated with every pattern in `Q`; low patterns
-//! survive pruning only if they satisfy the *1-extension property*
-//! (Lemma 1). §5's extensions — minimum pattern length and wildcard
-//! positions — are available through [`MiningParams`] and [`gapped`].
+//! tighter weighted-mean bound used by [`minmax`]. [`Miner`] runs the
+//! paper's growing process: singular patterns seed a candidate set `Q`;
+//! high patterns (NM above the running k-th-best threshold ω) are
+//! concatenated with every pattern in `Q`; low patterns survive pruning
+//! only if they satisfy the *1-extension property* (Lemma 1). §5's
+//! extensions — minimum pattern length and wildcard positions — are
+//! available through [`MiningParams`] and [`gapped`].
 //!
-//! Batch mining, ledger-seeded re-growth ([`mine_seeded`]) and the
-//! streaming arrival-delta path all drive the *same* growing loop, housed
-//! in [`engine`] and parameterized over an NM oracle ([`NmSource`]) — so
+//! Batch mining and the ledger-seeded re-growth behind the streaming
+//! repair path ([`mine_seeded`]) drive the *same* growing loop, housed in
+//! [`engine`] and parameterized over an NM oracle ([`NmSource`]) — so
 //! pruning-decision parity across the stack holds by construction.
 //!
 //! # Quick example
@@ -57,9 +57,6 @@
 //!     .unwrap();
 //! assert_eq!(outcome.patterns.len(), 3);
 //! ```
-//!
-//! The free function [`mine`] remains as a one-call compatibility wrapper
-//! over the same machinery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,9 +78,9 @@ pub mod seeded;
 pub mod stats;
 pub mod topk;
 
-pub use algorithm::{effective_max_len_from, mine, MiningOutcome, MiningStats};
+pub use algorithm::{effective_max_len_from, MiningOutcome, MiningStats};
 pub use checkpoint::{CheckpointError, FingerprintKind};
-pub use engine::{NmSource, SeededSource, SparseSource};
+pub use engine::{NmSource, SeededSource};
 pub use groups::PatternGroup;
 pub use index::PatternIndex;
 pub use miner::{Error, Miner};

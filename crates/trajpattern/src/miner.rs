@@ -2,8 +2,8 @@
 //!
 //! [`Miner`] owns the scorer lifecycle for one mining session: it borrows
 //! the dataset and grid once, lets the caller layer parameters and a
-//! thread count on top, and produces a [`MiningOutcome`]. The free
-//! function [`crate::mine`] remains as a thin compatibility wrapper.
+//! thread count on top, and produces a [`MiningOutcome`]. It is the one
+//! entry point for a batch mine.
 //!
 //! ```
 //! use trajdata::{Dataset, Trajectory};
@@ -230,7 +230,6 @@ fn default_delta(grid: &Grid) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mine;
     use trajdata::Trajectory;
     use trajgeo::{BBox, Point2};
 
@@ -245,28 +244,6 @@ mod tests {
                 }))
             })
             .collect()
-    }
-
-    #[test]
-    fn miner_matches_legacy_mine() {
-        let data = sample_data();
-        let grid = Grid::new(BBox::unit(), 5, 5).unwrap();
-        let params = MiningParams::new(4, 0.05)
-            .unwrap()
-            .with_min_len(2)
-            .unwrap()
-            .with_gamma(0.3)
-            .unwrap();
-
-        let legacy = mine(&data, &grid, &params).unwrap();
-        let session = Miner::new(&data, &grid).params(params).mine().unwrap();
-
-        assert_eq!(legacy.patterns, session.patterns);
-        assert_eq!(legacy.groups, session.groups);
-        assert_eq!(legacy.stats, session.stats);
-        for (a, b) in legacy.patterns.iter().zip(&session.patterns) {
-            assert_eq!(a.nm.to_bits(), b.nm.to_bits());
-        }
     }
 
     #[test]

@@ -547,17 +547,6 @@ impl<'a> Scorer<'a> {
             .collect()
     }
 
-    /// [`Scorer::score_batch`] with a sparse prefilter, bit-identical to
-    /// it. The corridor scan this entry point pioneered is now how *every*
-    /// batch is scored, so it no longer earns its keep as a separate path.
-    #[deprecated(
-        since = "0.6.0",
-        note = "corridor skipping is the default for every batch; use `Scorer::query` (or `score_batch`)"
-    )]
-    pub fn score_batch_sparse(&self, batch: &[Pattern]) -> Vec<f64> {
-        self.query(batch).run()
-    }
-
     /// `NM(P, T)` for a single trajectory (Eq. 4); the floor value if the
     /// trajectory is shorter than the pattern.
     pub fn nm_in_trajectory(&self, pattern: &Pattern, traj_index: usize) -> f64 {
@@ -1089,31 +1078,6 @@ mod tests {
         }
         // One evaluation is charged per pattern, duplicates included.
         assert_eq!(s.evaluations(), 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn sparse_batch_is_bit_identical_to_dense() {
-        // Mix of on-corridor, partially-near and far patterns, plus a
-        // trajectory shorter than some patterns; a larger σ widens the
-        // corridor so "near but low" cells are exercised too.
-        let (data5, grid) = setup(5, 0.07);
-        let mut all = data5.trajectories().to_vec();
-        all.push(Trajectory::from_exact([Point2::new(0.125, 0.625)]));
-        let data: Dataset = all.into_iter().collect();
-        let batch = [
-            pat(&[8, 9, 10, 11]),
-            pat(&[8, 9]),
-            pat(&[0, 1, 2]),
-            pat(&[3, 9]),
-            pat(&[15]),
-            pat(&[12, 13, 14, 15]),
-        ];
-        let dense = Scorer::new(&data, &grid, 0.1, 1e-12).score_batch(&batch);
-        let sparse = Scorer::new(&data, &grid, 0.1, 1e-12).score_batch_sparse(&batch);
-        for (p, (d, s)) in batch.iter().zip(dense.iter().zip(&sparse)) {
-            assert_eq!(d.to_bits(), s.to_bits(), "pattern {p:?}: {d} vs {s}");
-        }
     }
 
     #[test]

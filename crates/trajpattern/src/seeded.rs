@@ -429,7 +429,10 @@ mod tests {
     fn empty_seed_matches_batch_mine() {
         let (data, grid) = sweep_data(6, 0.05);
         let params = MiningParams::new(5, 0.1).unwrap().with_max_len(3).unwrap();
-        let a = crate::mine(&data, &grid, &params).unwrap();
+        let a = crate::Miner::new(&data, &grid)
+            .params(params.clone())
+            .mine()
+            .unwrap();
         let (b, _) = batch(&data, &grid, &params);
         assert_same_patterns(&a, &b);
     }
@@ -462,7 +465,10 @@ mod tests {
             .map(|c| MinedPattern::new(Pattern::singular(c), singular_nms[c.index()]))
             .collect();
         let seeded = mine_seeded(&scorer, &params, &seed).unwrap();
-        let a = crate::mine(&data, &grid, &params).unwrap();
+        let a = crate::Miner::new(&data, &grid)
+            .params(params)
+            .mine()
+            .unwrap();
         assert_same_patterns(&a, &seeded.outcome);
         assert!(seeded.newly_scored > 0, "growth had to score candidates");
     }
@@ -562,7 +568,10 @@ mod tests {
             .unwrap()
             .with_max_len(3)
             .unwrap();
-        let a = crate::mine(&data, &grid, &params).unwrap();
+        let a = crate::Miner::new(&data, &grid)
+            .params(params.clone())
+            .mine()
+            .unwrap();
         let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
         let first = mine_seeded(&scorer, &params, &[]).unwrap();
         assert_same_patterns(&a, &first.outcome);

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use trajdata::{Dataset, SnapshotPoint, Trajectory};
 use trajgeo::{BBox, Grid, Point2};
 use trajpattern::bruteforce::brute_force_top_k;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 /// Random walk dataset on the unit square.
 fn random_dataset(seed: u64, n_traj: usize, len: usize, sigma: f64) -> Dataset {
@@ -47,7 +47,7 @@ fn check(seed: u64, k: usize, min_len: usize, max_len: usize, sigma: f64) {
         .with_max_len(max_len)
         .unwrap();
     let reference = brute_force_top_k(&data, &grid, &params).expect("instance small enough");
-    let mined = mine(&data, &grid, &params).unwrap();
+    let mined = Miner::new(&data, &grid).params(params).mine().unwrap();
     assert_eq!(
         mined.patterns.len(),
         reference.len(),
@@ -113,7 +113,7 @@ fn matches_brute_force_without_prunes() {
     params.use_bound_prune = false;
     params.use_one_extension_prune = false;
     let reference = brute_force_top_k(&data, &grid, &params).unwrap();
-    let mined = mine(&data, &grid, &params).unwrap();
+    let mined = Miner::new(&data, &grid).params(params).mine().unwrap();
     for (m, r) in mined.patterns.iter().zip(&reference) {
         assert!((m.nm - r.nm).abs() < 1e-9);
     }
@@ -126,7 +126,7 @@ mod property {
     use trajdata::{Dataset, SnapshotPoint, Trajectory};
     use trajgeo::{BBox, Grid, Point2};
     use trajpattern::bruteforce::brute_force_top_k;
-    use trajpattern::{mine, MiningParams};
+    use trajpattern::{Miner, MiningParams};
 
     fn arb_dataset() -> impl Strategy<Value = Dataset> {
         prop::collection::vec(
@@ -167,7 +167,7 @@ mod property {
                 .unwrap();
             let reference = brute_force_top_k(&data, &grid, &params)
                 .expect("instance small enough");
-            let mined = mine(&data, &grid, &params).unwrap();
+            let mined = Miner::new(&data, &grid).params(params).mine().unwrap();
             prop_assert_eq!(mined.patterns.len(), reference.len());
             for (i, (m, r)) in mined.patterns.iter().zip(&reference).enumerate() {
                 prop_assert!(

@@ -89,10 +89,10 @@ proptest! {
             .unwrap()
             .with_max_len(3)
             .unwrap();
-        let seq = trajpattern::mine(&data, &grid, &params).unwrap();
+        let seq = trajpattern::Miner::new(&data, &grid).params(params.clone()).mine().unwrap();
         for threads in [2usize, 4] {
             let par_params = params.clone().with_threads(threads).unwrap();
-            let par = trajpattern::mine(&data, &grid, &par_params).unwrap();
+            let par = trajpattern::Miner::new(&data, &grid).params(par_params).mine().unwrap();
             prop_assert_eq!(seq.patterns.len(), par.patterns.len());
             for (a, b) in seq.patterns.iter().zip(&par.patterns) {
                 prop_assert_eq!(&a.pattern, &b.pattern);

@@ -23,8 +23,7 @@
 //! queries skip patterns whose cells lie outside the posted
 //! trajectories' probability-mass corridor — bit-identical to the
 //! unindexed path, but without touching far patterns' log-prob rows.
-//! The unversioned `/topk`, `/score`, `/match`, and `/predict` routes
-//! remain as deprecated aliases with their original response bodies.
+//! Unversioned paths answer the structured 404.
 //!
 //! Everything is `std`-only: a [`std::net::TcpListener`] accept loop
 //! feeds a bounded queue drained by a small worker pool, in the same

@@ -3,23 +3,13 @@
 //! never contend with request handling.
 //!
 //! Latency is tracked as one [`Histogram`] **per route** (indexed like
-//! [`ENDPOINTS`]), rendered three ways from the same counters:
-//!
-//! * `trajserve_route_seconds_*{route="..."}` — the per-route split;
-//! * `trajserve_request_seconds_*` — the all-routes aggregate (the sum
-//!   of the per-route histograms, kept for existing dashboards);
-//! * `trajserve_v1_score_seconds_*` — the `/v1/score` histogram under
-//!   its historical name (CI reads its p50 straight off `/metrics`).
+//! [`ENDPOINTS`]) and rendered as `trajserve_route_seconds_*{route="..."}`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use trajpattern::stats::prometheus_counters;
 
 /// Routes tracked individually (everything else lands in `other`).
-pub const ENDPOINTS: [&str; 15] = [
-    "topk",
-    "score",
-    "match",
-    "predict",
+pub const ENDPOINTS: [&str; 11] = [
     "healthz",
     "metrics",
     "v1_topk",
@@ -32,11 +22,6 @@ pub const ENDPOINTS: [&str; 15] = [
     "v1_matchlive",
     "other",
 ];
-
-/// [`ENDPOINTS`] slot of `/v1/score` — the route whose histogram is
-/// additionally rendered under its historical dedicated name (the
-/// fast-path acceptance metric).
-pub const V1_SCORE_ENDPOINT: usize = 7;
 
 /// Upper edges (seconds) of the latency histogram buckets; a final
 /// `+Inf` bucket is implicit.
@@ -75,40 +60,28 @@ impl Histogram {
     }
 
     /// Renders `{name}_bucket` (cumulative), `{name}_sum_us`, and
-    /// `{name}_count` lines, with `labels` (e.g. `route="topk"`)
+    /// `{name}_count` lines, with `labels` (e.g. `route="v1_topk"`)
     /// prepended to each line's label set.
     fn render(&self, out: &mut String, name: &str, labels: &str) {
         use std::fmt::Write;
-        let sep = if labels.is_empty() { "" } else { "," };
         let mut cumulative = 0;
         for (i, edge) in LATENCY_BUCKETS.iter().enumerate() {
             cumulative += self.buckets[i].load(Ordering::Relaxed);
-            writeln!(
-                out,
-                "{name}_bucket{{{labels}{sep}le=\"{edge}\"}} {cumulative}"
-            )
-            .expect("writing to a String cannot fail");
+            writeln!(out, "{name}_bucket{{{labels},le=\"{edge}\"}} {cumulative}")
+                .expect("writing to a String cannot fail");
         }
         cumulative += self.buckets[LATENCY_BUCKETS.len()].load(Ordering::Relaxed);
+        writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cumulative}")
+            .expect("writing to a String cannot fail");
         writeln!(
             out,
-            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
-        )
-        .expect("writing to a String cannot fail");
-        let tail = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
-        };
-        writeln!(
-            out,
-            "{name}_sum_us{tail} {}",
+            "{name}_sum_us{{{labels}}} {}",
             self.sum_us.load(Ordering::Relaxed)
         )
         .expect("writing to a String cannot fail");
         writeln!(
             out,
-            "{name}_count{tail} {}",
+            "{name}_count{{{labels}}} {}",
             self.count.load(Ordering::Relaxed)
         )
         .expect("writing to a String cannot fail");
@@ -120,16 +93,15 @@ impl Histogram {
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Requests dispatched, per endpoint (indexed like [`ENDPOINTS`]).
-    pub requests: [AtomicU64; 15],
+    pub requests: [AtomicU64; ENDPOINTS.len()],
     /// Responses by status class: 2xx, 4xx, 5xx.
     pub responses_2xx: AtomicU64,
     /// 4xx responses.
     pub responses_4xx: AtomicU64,
     /// 5xx responses.
     pub responses_5xx: AtomicU64,
-    /// Per-route latency histograms (indexed like [`ENDPOINTS`]); the
-    /// all-routes aggregate is their sum, computed at render time.
-    pub route_seconds: [Histogram; 15],
+    /// Per-route latency histograms (indexed like [`ENDPOINTS`]).
+    pub route_seconds: [Histogram; ENDPOINTS.len()],
     /// Connections currently queued for a worker.
     pub queue_depth: AtomicU64,
     /// Requests currently being handled.
@@ -144,7 +116,7 @@ pub struct Metrics {
     pub reload_failures: AtomicU64,
     /// Pattern scorings performed by request-serving scorers.
     pub scorings: AtomicU64,
-    /// Trajectories scored via `/score` and `/match`.
+    /// Trajectories scored via `/v1/score` and `/v1/match`.
     pub scored_trajectories: AtomicU64,
     /// Scorer shards that panicked and were rescored sequentially.
     pub scorer_degraded: AtomicU64,
@@ -153,21 +125,17 @@ pub struct Metrics {
 /// Maps a request path to its [`ENDPOINTS`] slot.
 pub fn endpoint_index(path: &str) -> usize {
     match path {
-        "/topk" => 0,
-        "/score" => 1,
-        "/match" => 2,
-        "/predict" => 3,
-        "/healthz" => 4,
-        "/metrics" => 5,
-        "/v1/topk" => 6,
-        "/v1/score" => 7,
-        "/v1/match" => 8,
-        "/v1/predict" => 9,
-        "/v1/shards" => 10,
-        "/v1/prange" => 11,
-        "/v1/pnn" => 12,
-        "/v1/matchlive" => 13,
-        _ => 14,
+        "/healthz" => 0,
+        "/metrics" => 1,
+        "/v1/topk" => 2,
+        "/v1/score" => 3,
+        "/v1/match" => 4,
+        "/v1/predict" => 5,
+        "/v1/shards" => 6,
+        "/v1/prange" => 7,
+        "/v1/pnn" => 8,
+        "/v1/matchlive" => 9,
+        _ => 10,
     }
 }
 
@@ -224,20 +192,6 @@ impl Metrics {
             get(&self.responses_5xx),
         );
 
-        // All-routes aggregate: the bucket-wise sum of the per-route
-        // histograms, under the original unlabeled names.
-        let aggregate = Histogram::default();
-        for h in &self.route_seconds {
-            for (i, b) in h.buckets.iter().enumerate() {
-                aggregate.buckets[i].fetch_add(get(b), Ordering::Relaxed);
-            }
-            aggregate
-                .sum_us
-                .fetch_add(get(&h.sum_us), Ordering::Relaxed);
-            aggregate.count.fetch_add(get(&h.count), Ordering::Relaxed);
-        }
-        aggregate.render(&mut out, "trajserve_request_seconds", "");
-
         // Per-route split; untouched routes are skipped to keep the
         // exposition compact.
         for (i, name) in ENDPOINTS.iter().enumerate() {
@@ -249,11 +203,6 @@ impl Metrics {
                 );
             }
         }
-
-        // `/v1/score` under its historical dedicated name — the
-        // fast-path acceptance metric CI reads the p50 from. Always
-        // rendered, even before the first observation.
-        self.route_seconds[V1_SCORE_ENDPOINT].render(&mut out, "trajserve_v1_score_seconds", "");
 
         line(
             &mut out,
@@ -370,40 +319,38 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_index_covers_routes() {
-        assert_eq!(endpoint_index("/topk"), 0);
-        assert_eq!(endpoint_index("/metrics"), 5);
-        assert_eq!(endpoint_index("/nope"), ENDPOINTS.len() - 1);
-        assert_eq!(ENDPOINTS[endpoint_index("/score")], "score");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/topk")], "v1_topk");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/score")], "v1_score");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/match")], "v1_match");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/predict")], "v1_predict");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/shards")], "v1_shards");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/prange")], "v1_prange");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/pnn")], "v1_pnn");
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/matchlive")], "v1_matchlive");
-        assert_eq!(endpoint_index("/v1/score"), V1_SCORE_ENDPOINT);
-    }
-
-    #[test]
-    fn v1_score_histogram_tracks_only_its_route() {
-        let m = Metrics::default();
-        m.observe(V1_SCORE_ENDPOINT, 200, 0.0001);
-        m.observe(1, 200, 0.0001); // legacy /score: its own histogram
-        assert_eq!(m.route_seconds[V1_SCORE_ENDPOINT].count(), 1);
-        assert_eq!(m.route_seconds[1].count(), 1);
+    fn endpoints_are_the_v1_surface() {
         assert_eq!(
-            m.route_seconds[V1_SCORE_ENDPOINT].buckets[0].load(Ordering::Relaxed),
-            1
+            ENDPOINTS,
+            [
+                "healthz",
+                "metrics",
+                "v1_topk",
+                "v1_score",
+                "v1_match",
+                "v1_predict",
+                "v1_shards",
+                "v1_prange",
+                "v1_pnn",
+                "v1_matchlive",
+                "other",
+            ]
         );
+        for (i, name) in ENDPOINTS.iter().enumerate().take(ENDPOINTS.len() - 1) {
+            let path = match name.strip_prefix("v1_") {
+                Some(rest) => format!("/v1/{rest}"),
+                None => format!("/{name}"),
+            };
+            assert_eq!(endpoint_index(&path), i, "{path}");
+        }
+        assert_eq!(endpoint_index("/nope"), ENDPOINTS.len() - 1);
     }
 
     #[test]
-    fn render_keeps_historical_names_and_adds_route_split() {
+    fn render_labels_each_route_it_observed() {
         let m = Metrics::default();
         m.observe(endpoint_index("/v1/topk"), 200, 0.0001);
-        m.observe(V1_SCORE_ENDPOINT, 200, 0.002);
+        m.observe(endpoint_index("/v1/score"), 200, 0.002);
         let snapshot = crate::snapshot::Snapshot {
             params: trajpattern::MiningParams::new(3, 0.1).unwrap(),
             grid: trajgeo::Grid::new(trajgeo::BBox::unit(), 4, 4).unwrap(),
@@ -415,26 +362,20 @@ mod tests {
             next_seq: None,
         };
         let text = m.render(&snapshot);
-        // Aggregate histogram counts both observations.
-        assert!(text.contains("trajserve_request_seconds_count 2"), "{text}");
-        // Per-route split is labeled; untouched routes are absent.
         assert!(
             text.contains("trajserve_route_seconds_count{route=\"v1_topk\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("trajserve_route_seconds_bucket{route=\"v1_score\",le=\"0.005\"} 1"),
             "{text}"
         );
         assert!(
             text.contains("trajserve_route_seconds_count{route=\"v1_score\"} 1"),
             "{text}"
         );
-        assert!(!text.contains("route=\"predict\""), "{text}");
-        // `/v1/score` keeps its historical dedicated histogram name.
-        assert!(
-            text.contains("trajserve_v1_score_seconds_count 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("trajserve_v1_score_seconds_bucket{le=\"0.005\"} 1"),
-            "{text}"
-        );
+        // Untouched routes are absent; every latency line is labeled.
+        assert!(!text.contains("route=\"v1_predict\""), "{text}");
+        assert!(!text.contains("_seconds_count "), "{text}");
     }
 }

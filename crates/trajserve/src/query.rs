@@ -10,9 +10,8 @@
 //! }
 //! ```
 //!
-//! Because `options` is optional, every plain dataset JSON (the body the
-//! deprecated `/score`, `/match`, and `/predict` aliases accept) is also
-//! a valid `/v1` body — migration is additive.
+//! Because `options` is optional, every plain dataset JSON is also a
+//! valid `/v1` body.
 //!
 //! Responses share the `trajserve-query/v1` envelope: a `schema` tag, the
 //! `query` kind, and route-specific fields appended in a fixed order by

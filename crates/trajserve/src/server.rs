@@ -56,7 +56,7 @@ pub struct ServerConfig {
     pub scorer_threads: usize,
     /// Largest accepted request body in bytes.
     pub max_body: usize,
-    /// Confirmation probability threshold for `/predict` (paper §6.1
+    /// Confirmation probability threshold for `/v1/predict` (paper §6.1
     /// uses 0.9).
     pub confirm_threshold: f64,
     /// Hot-reload the snapshot when `snapshot_path` is rewritten.
@@ -130,7 +130,7 @@ pub struct Loaded {
     pub snapshot: Snapshot,
     /// Prediction library over the snapshot's ≥2-cell patterns.
     pub library: PatternLibrary,
-    /// Pre-rendered `/topk` response body (the snapshot's JSON).
+    /// Pre-rendered `/v1/topk` response body (the snapshot's JSON).
     pub topk_json: String,
     /// The snapshot's pattern list, extracted once — request handlers
     /// borrow this instead of re-cloning per request.
@@ -493,11 +493,10 @@ fn route(state: &ServeState, cfg: &ServerConfig, req: &Request) -> Response {
             }
             Response::text(200, text)
         }
-        // `/topk` is a deprecated alias for `/v1/topk` (same body). In
-        // live mode `?shard=NAME` reads that shard's pre-serialized
+        // In live mode `?shard=NAME` reads that shard's pre-serialized
         // snapshot; no shard (or `shard=*`) answers the deterministic
         // cross-shard fan-out merge.
-        ("GET", "/topk" | "/v1/topk") => match state.fleet() {
+        ("GET", "/v1/topk") => match state.fleet() {
             None => Response::json(200, state.loaded().topk_json.clone()),
             Some(fleet) => match req.query_param("shard") {
                 None | Some("" | "*") => Response::json(200, fleet.merged_topk_json()),
@@ -530,25 +529,10 @@ fn route(state: &ServeState, cfg: &ServerConfig, req: &Request) -> Response {
             Ok(loaded) => v1_predict_route(cfg, &loaded, req),
             Err(resp) => resp,
         },
-        // Deprecated pre-`/v1` aliases; original response bodies kept
-        // verbatim so existing clients keep working.
-        ("POST", "/score") => match resolve_loaded(state, req) {
-            Ok(loaded) => score_route(state, cfg, &loaded, req),
-            Err(resp) => resp,
-        },
-        ("POST", "/match") => match resolve_loaded(state, req) {
-            Ok(loaded) => match_route(state, cfg, &loaded, req),
-            Err(resp) => resp,
-        },
-        ("POST", "/predict") => match resolve_loaded(state, req) {
-            Ok(loaded) => predict_route(cfg, &loaded, req),
-            Err(resp) => resp,
-        },
         (
             _,
-            "/healthz" | "/metrics" | "/topk" | "/score" | "/match" | "/predict" | "/v1/topk"
-            | "/v1/score" | "/v1/match" | "/v1/predict" | "/v1/shards" | "/v1/prange" | "/v1/pnn"
-            | "/v1/matchlive",
+            "/healthz" | "/metrics" | "/v1/topk" | "/v1/score" | "/v1/match" | "/v1/predict"
+            | "/v1/shards" | "/v1/prange" | "/v1/pnn" | "/v1/matchlive",
         ) => Response::error(405, "method not allowed for this route"),
         _ => Response::error(404, "no such route"),
     }
@@ -884,12 +868,6 @@ fn matchlive_route(state: &ServeState, cfg: &ServerConfig, req: &Request) -> Res
     }
 }
 
-fn parse_dataset(req: &Request) -> Result<Dataset, Response> {
-    let body = std::str::from_utf8(&req.body)
-        .map_err(|_| Response::error(400, "request body is not UTF-8"))?;
-    Dataset::from_json(body).map_err(|e| Response::error(400, &format!("bad dataset: {e}")))
-}
-
 /// Scores `batch` over `data` through the [`Scorer::query`] builder —
 /// the one scoring entry point shared by every route. `index` enables
 /// spatial pruning of far patterns; NMs are bit-identical either way.
@@ -949,10 +927,10 @@ fn select_patterns(
     }
 }
 
-/// The `best` object shared by `/match` and `/v1/match`: the first
-/// strict maximum among finite scores (snapshot order is best-NM-first,
-/// so ties resolve to the canonical winner), reported with its snapshot
-/// index, cells, score, and pattern-group assignment.
+/// The `best` object of a `/v1/match` answer: the first strict maximum
+/// among finite scores (snapshot order is best-NM-first, so ties resolve
+/// to the canonical winner), reported with its snapshot index, cells,
+/// score, and pattern-group assignment.
 fn best_match_value(
     snap: &Snapshot,
     indices: &[usize],
@@ -985,8 +963,8 @@ fn best_match_value(
     }
 }
 
-/// The prediction payload shared by `/predict` and `/v1/predict`:
-/// `(velocity, confirming count, next-cell distribution)`.
+/// The `/v1/predict` payload: `(velocity, confirming count, next-cell
+/// distribution)`.
 fn predict_value(
     loaded: &Loaded,
     cfg: &ServerConfig,
@@ -1131,94 +1109,6 @@ fn v1_predict_route(cfg: &ServerConfig, loaded: &Loaded, req: &Request) -> Respo
         .field("confirming", serde_json::json!(confirming))
         .field("distribution", serde_json::Value::Array(distribution))
         .into_response()
-}
-
-/// `POST /score` (deprecated alias of `/v1/score`): NM of every
-/// snapshot pattern over the posted dataset. Same scoring path as `/v1`
-/// — bit-identical NMs — with the original response body.
-fn score_route(state: &ServeState, cfg: &ServerConfig, loaded: &Loaded, req: &Request) -> Response {
-    let data = match parse_dataset(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    let nms = score_with(
-        state,
-        cfg,
-        loaded,
-        &data,
-        &loaded.patterns,
-        trajpattern::Measure::Nm,
-        Some(&loaded.index),
-    );
-    Response::json(
-        200,
-        serde_json::to_string_pretty(&serde_json::json!({
-            "schema": "trajserve-score/v1",
-            "trajectories": data.len(),
-            "patterns": loaded.patterns.len(),
-            "nms": nms,
-        }))
-        .expect("score response serializes"),
-    )
-}
-
-/// `POST /match` (deprecated alias of `/v1/match`): best-NM snapshot
-/// pattern for the first posted (possibly partial) trajectory, plus its
-/// pattern-group assignment. Original response body.
-fn match_route(state: &ServeState, cfg: &ServerConfig, loaded: &Loaded, req: &Request) -> Response {
-    let data = match parse_dataset(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    let Some(traj) = data.trajectories().first() else {
-        return Response::error(400, "dataset holds no trajectory to match");
-    };
-    let single: Dataset = std::iter::once(traj.clone()).collect();
-    let nms = score_with(
-        state,
-        cfg,
-        loaded,
-        &single,
-        &loaded.patterns,
-        trajpattern::Measure::Nm,
-        Some(&loaded.index),
-    );
-    let indices: Vec<usize> = (0..loaded.patterns.len()).collect();
-    let best_value = best_match_value(&loaded.snapshot, &indices, &loaded.patterns, &nms);
-    Response::json(
-        200,
-        serde_json::to_string_pretty(&serde_json::json!({
-            "schema": "trajserve-match/v1",
-            "patterns": loaded.patterns.len(),
-            "nms": nms,
-            "best": best_value,
-        }))
-        .expect("match response serializes"),
-    )
-}
-
-/// `POST /predict` (deprecated alias of `/v1/predict`): next-cell
-/// distribution for the first posted trajectory's recent window, via
-/// the prediction crate's confirmation machinery. Original body.
-fn predict_route(cfg: &ServerConfig, loaded: &Loaded, req: &Request) -> Response {
-    let data = match parse_dataset(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    let Some(traj) = data.trajectories().first() else {
-        return Response::error(400, "dataset holds no trajectory to predict from");
-    };
-    let (velocity_value, confirming, distribution) = predict_value(loaded, cfg, traj);
-    Response::json(
-        200,
-        serde_json::to_string_pretty(&serde_json::json!({
-            "schema": "trajserve-predict/v1",
-            "velocity": velocity_value,
-            "confirming": confirming,
-            "distribution": distribution,
-        }))
-        .expect("predict response serializes"),
-    )
 }
 
 fn accumulate_scorer(state: &ServeState, scorer: &Scorer<'_>, trajectories: usize) {

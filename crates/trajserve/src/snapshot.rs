@@ -18,7 +18,7 @@
 //!
 //! Floats are written with shortest-round-trip formatting and parsed
 //! correctly rounded, so `delta`, `min_prob`, the grid bounds, and every
-//! NM survive the trip bit-exactly — the server's `/score` can therefore
+//! NM survive the trip bit-exactly — the server's `/v1/score` can therefore
 //! reproduce the library scorer's results on the loaded snapshot down to
 //! the last bit. [`Snapshot::load`] also accepts a `trajstream`
 //! checkpoint (`trajpattern-checkpoint v2`), sniffed by its first line,

@@ -1,5 +1,5 @@
 //! End-to-end tests over real sockets: every route, bit-identity of
-//! `/score` against the library scorer, panic isolation, backpressure,
+//! `/v1/score` against the library scorer, panic isolation, backpressure,
 //! hot reload, and graceful shutdown.
 
 use std::io::{Read, Write};
@@ -112,18 +112,18 @@ fn routes_answer_and_score_is_bit_identical() {
     let (status, body) = request(addr, "GET", "/healthz", None, &[]);
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-    // /topk is the versioned snapshot itself.
-    let (status, body) = request(addr, "GET", "/topk", None, &[]);
+    // /v1/topk is the versioned snapshot itself.
+    let (status, body) = request(addr, "GET", "/v1/topk", None, &[]);
     assert_eq!(status, 200);
     let topk: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(topk["schema"].as_str().unwrap(), trajserve::SCHEMA);
     assert_eq!(topk["patterns"].as_array().unwrap().len(), k);
     assert!(topk.get("groups").is_some());
 
-    // /score over a fresh query dataset must be bit-identical to the
+    // /v1/score over a fresh query dataset must be bit-identical to the
     // library Scorer on the same patterns — the core acceptance check.
     let query: Dataset = data.iter().take(4).cloned().collect();
-    let (status, body) = request(addr, "POST", "/score", Some(&query.to_json()), &[]);
+    let (status, body) = request(addr, "POST", "/v1/score", Some(&query.to_json()), &[]);
     assert_eq!(status, 200, "score failed: {body}");
     let scored: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(scored["trajectories"].as_u64().unwrap(), 4);
@@ -144,8 +144,8 @@ fn routes_answer_and_score_is_bit_identical() {
         );
     }
 
-    // /match labels the first trajectory with the best pattern + group.
-    let (status, body) = request(addr, "POST", "/match", Some(&query.to_json()), &[]);
+    // /v1/match labels the first trajectory with the best pattern + group.
+    let (status, body) = request(addr, "POST", "/v1/match", Some(&query.to_json()), &[]);
     assert_eq!(status, 200);
     let matched: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(matched["nms"].as_array().unwrap().len(), k);
@@ -156,15 +156,15 @@ fn routes_answer_and_score_is_bit_identical() {
     );
     assert!(best["nm"].as_f64().unwrap().is_finite());
 
-    // /predict returns a (possibly empty) distribution for any input.
-    let (status, body) = request(addr, "POST", "/predict", Some(&query.to_json()), &[]);
+    // /v1/predict returns a (possibly empty) distribution for any input.
+    let (status, body) = request(addr, "POST", "/v1/predict", Some(&query.to_json()), &[]);
     assert_eq!(status, 200);
     let predicted: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert!(predicted.get("velocity").is_some());
     assert!(predicted["distribution"].as_array().is_some());
 
     // Error envelope: every failure is structured JSON with a machine
-    // code and a human message, matching the `/v1` schema.
+    // code and a human message.
     let assert_error = |status: u16, body: &str, want_status: u16, want_code: &str| {
         assert_eq!(status, want_status, "body: {body}");
         let v: serde_json::Value = serde_json::from_str(body).expect("error body is JSON");
@@ -174,22 +174,36 @@ fn routes_answer_and_score_is_bit_identical() {
             "{body}"
         );
     };
-    let (status, body) = request(addr, "POST", "/score", Some("not json"), &[]);
-    assert_error(status, &body, 400, "bad_request");
     let (status, body) = request(addr, "GET", "/nope", None, &[]);
     assert_error(status, &body, 404, "not_found");
-    let (status, body) = request(addr, "GET", "/score", None, &[]);
+    let (status, body) = request(addr, "GET", "/v1/score", None, &[]);
     assert_error(status, &body, 405, "method_not_allowed");
-    let (status, body) = request(addr, "POST", "/match", Some("{\"trajectories\": []}"), &[]);
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/match",
+        Some("{\"trajectories\": []}"),
+        &[],
+    );
     assert_error(status, &body, 400, "bad_request");
     let (status, body) = request(addr, "POST", "/v1/score", Some("not json"), &[]);
     assert_error(status, &body, 400, "bad_request");
+    // The unversioned routes are gone: they fall through to the 404.
+    for (method, path, body) in [
+        ("GET", "/topk", None),
+        ("POST", "/score", Some(query.to_json())),
+        ("POST", "/match", Some(query.to_json())),
+        ("POST", "/predict", Some(query.to_json())),
+    ] {
+        let (status, resp) = request(addr, method, path, body.as_deref(), &[]);
+        assert_error(status, &resp, 404, "not_found");
+    }
 
     stop(&handle, join);
 }
 
 #[test]
-fn v1_routes_share_schema_and_agree_with_deprecated_aliases() {
+fn v1_routes_share_schema_and_agree_with_the_library() {
     let (snapshot, data) = mined();
     let reference_patterns: Vec<Pattern> = snapshot
         .patterns
@@ -202,14 +216,8 @@ fn v1_routes_share_schema_and_agree_with_deprecated_aliases() {
     let (addr, handle, join) = start(snapshot, ServerConfig::default());
     let query: Dataset = data.iter().take(4).cloned().collect();
 
-    // /v1/topk serves the same snapshot body as the deprecated /topk.
-    let (status, v1_topk) = request(addr, "GET", "/v1/topk", None, &[]);
-    assert_eq!(status, 200);
-    let (_, old_topk) = request(addr, "GET", "/topk", None, &[]);
-    assert_eq!(v1_topk, old_topk, "alias must serve the identical body");
-
     // /v1/score: shared envelope, NMs bit-identical to the library
-    // scorer — and to the deprecated /score alias.
+    // scorer.
     let (status, body) = request(addr, "POST", "/v1/score", Some(&query.to_json()), &[]);
     assert_eq!(status, 200, "v1 score failed: {body}");
     let scored: serde_json::Value = serde_json::from_str(&body).unwrap();
@@ -227,11 +235,6 @@ fn v1_routes_share_schema_and_agree_with_deprecated_aliases() {
         .score_batch(&reference_patterns);
     for (s, d) in served.iter().zip(&direct) {
         assert_eq!(s.to_bits(), d.to_bits());
-    }
-    let (_, old_body) = request(addr, "POST", "/score", Some(&query.to_json()), &[]);
-    let old: serde_json::Value = serde_json::from_str(&old_body).unwrap();
-    for (s, o) in served.iter().zip(old["nms"].as_array().unwrap()) {
-        assert_eq!(s.to_bits(), o.as_f64().unwrap().to_bits());
     }
 
     // Index correctness: disabling index pruning must return the
@@ -264,13 +267,6 @@ fn v1_routes_share_schema_and_agree_with_deprecated_aliases() {
     let m: serde_json::Value = serde_json::from_str(&matched).unwrap();
     assert_eq!(m["query"].as_str().unwrap(), "match");
     assert!(m["best"]["nm"].as_f64().unwrap().is_finite());
-    // The deprecated /match alias agrees on the winner.
-    let (_, old_match) = request(addr, "POST", "/match", Some(&query.to_json()), &[]);
-    let om: serde_json::Value = serde_json::from_str(&old_match).unwrap();
-    assert_eq!(
-        m["best"]["index"].as_u64().unwrap(),
-        om["best"]["index"].as_u64().unwrap()
-    );
 
     // A pattern filter restricts scoring to the named snapshot indices.
     let (status, body) = request(
@@ -313,7 +309,7 @@ fn v1_routes_share_schema_and_agree_with_deprecated_aliases() {
     // /metrics tracks the v1 routes and the /v1/score histogram.
     let (_, metrics) = request(addr, "GET", "/metrics", None, &[]);
     assert!(metrics.contains("trajserve_requests_total{endpoint=\"v1_score\"}"));
-    assert!(metrics.contains("trajserve_v1_score_seconds_count"));
+    assert!(metrics.contains("trajserve_route_seconds_count{route=\"v1_score\"}"));
 
     stop(&handle, join);
 }
@@ -476,7 +472,7 @@ fn injected_panic_gets_500_and_server_keeps_serving() {
     let (status, body) = request(
         addr,
         "GET",
-        "/topk",
+        "/v1/topk",
         None,
         &[("x-trajserve-inject-panic", "1")],
     );
@@ -486,7 +482,7 @@ fn injected_panic_gets_500_and_server_keeps_serving() {
     let (status, _) = request(addr, "GET", "/healthz", None, &[]);
     assert_eq!(status, 200);
     let query: Dataset = data.iter().take(2).cloned().collect();
-    let (status, _) = request(addr, "POST", "/score", Some(&query.to_json()), &[]);
+    let (status, _) = request(addr, "POST", "/v1/score", Some(&query.to_json()), &[]);
     assert_eq!(status, 200);
 
     // The panic is visible in /metrics.
@@ -498,7 +494,7 @@ fn injected_panic_gets_500_and_server_keeps_serving() {
         .and_then(|v| v.parse::<u64>().ok())
         .expect("panics counter present");
     assert!(panics >= 1);
-    assert!(metrics.contains("trajserve_requests_total{endpoint=\"score\"} 1"));
+    assert!(metrics.contains("trajserve_requests_total{endpoint=\"v1_score\"} 1"));
     assert!(metrics.contains("trajserve_scored_trajectories_total 2"));
 
     stop(&handle, join);
@@ -644,7 +640,7 @@ fn watch_hot_reloads_rewritten_snapshot() {
     let loaded = Snapshot::load(&path).unwrap();
     let (addr, handle, join) = start(loaded, cfg);
 
-    let (status, body) = request(addr, "GET", "/topk", None, &[]);
+    let (status, body) = request(addr, "GET", "/v1/topk", None, &[]);
     assert_eq!(status, 200);
     let before: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(before["patterns"].as_array().unwrap().len(), full_k);
@@ -658,7 +654,7 @@ fn watch_hot_reloads_rewritten_snapshot() {
 
     let deadline = Instant::now() + Duration::from_secs(10);
     let reloaded = loop {
-        let (status, body) = request(addr, "GET", "/topk", None, &[]);
+        let (status, body) = request(addr, "GET", "/v1/topk", None, &[]);
         assert_eq!(status, 200, "server must keep serving during reload");
         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
         if v["patterns"].as_array().unwrap().len() == 1 {
@@ -713,7 +709,7 @@ fn serves_a_stream_checkpoint_directly() {
     let snapshot = Snapshot::load(&ckpt).unwrap();
     let expected = miner.topk().len();
     let (addr, handle, join) = start(snapshot, ServerConfig::default());
-    let (status, body) = request(addr, "GET", "/topk", None, &[]);
+    let (status, body) = request(addr, "GET", "/v1/topk", None, &[]);
     assert_eq!(status, 200);
     let v: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(v["patterns"].as_array().unwrap().len(), expected);

@@ -11,7 +11,7 @@ use datagen::{observe_via_reporting, BusConfig};
 use mobility::{KalmanModel, LinearModel, MotionModel, RecursiveMotionModel, ReportingScheme};
 use prediction::{evaluate_paths, PatternLibrary};
 use trajgeo::{BBox, Grid, Point2};
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn main() {
     // A reduced fleet: 5 routes x 10 buses x 2 days = 100 traces.
@@ -49,7 +49,10 @@ fn main() {
         .expect("valid params")
         .with_max_len(8)
         .expect("valid params");
-    let mined = mine(&velocities, &grid, &params).expect("mining succeeds");
+    let mined = Miner::new(&velocities, &grid)
+        .params(params)
+        .mine()
+        .expect("mining succeeds");
     let avg_len: f64 = mined
         .patterns
         .iter()

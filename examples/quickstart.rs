@@ -10,7 +10,7 @@
 use datagen::{observe_via_reporting, ZebraConfig};
 use mobility::{LinearModel, ReportingScheme};
 use trajgeo::{BBox, Grid};
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn main() {
     // --- 1. Ground truth: two herds of zebras roaming the unit square.
@@ -45,7 +45,10 @@ fn main() {
         .expect("valid params")
         .with_gamma(3.0 * scheme.sigma())
         .expect("valid params");
-    let outcome = mine(&data, &grid, &params).expect("mining succeeds");
+    let outcome = Miner::new(&data, &grid)
+        .params(params)
+        .mine()
+        .expect("mining succeeds");
 
     println!(
         "\nmined {} patterns in {} iterations ({} candidates scored, {} bound-pruned):",

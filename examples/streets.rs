@@ -6,7 +6,7 @@
 
 use datagen::{observe_directly, StreetConfig};
 use trajgeo::Grid;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn main() {
     let city = StreetConfig {
@@ -39,7 +39,10 @@ fn main() {
         .expect("valid params")
         .with_gamma(0.08)
         .expect("valid params");
-    let out = mine(&data, &grid, &params).expect("mining succeeds");
+    let out = Miner::new(&data, &grid)
+        .params(params)
+        .mine()
+        .expect("mining succeeds");
 
     println!(
         "\ntop street motifs ({} candidates scored, {} bound-pruned):",

@@ -9,7 +9,7 @@
 use datagen::{observe_directly, PostureConfig};
 use trajgeo::Grid;
 use trajpattern::gapped::{refine_with_gaps, GappedPattern};
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn main() {
     let cfg = PostureConfig {
@@ -37,7 +37,10 @@ fn main() {
         .expect("valid params");
 
     // Contiguous mining first…
-    let base = mine(&data, &grid, &params).expect("mining succeeds");
+    let base = Miner::new(&data, &grid)
+        .params(params)
+        .mine()
+        .expect("mining succeeds");
     println!("\ntop contiguous patterns:");
     for m in base.patterns.iter().take(5) {
         println!("  NM {:>8.2}  {}", m.nm, m.pattern);

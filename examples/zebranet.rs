@@ -9,7 +9,7 @@ use datagen::{observe_via_reporting, ZebraConfig};
 use mobility::{LinearModel, ReportingScheme};
 use std::time::Instant;
 use trajgeo::{BBox, Grid};
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn main() {
     // Three herds tracked by low-power collars; 10% of reports are lost in
@@ -41,7 +41,10 @@ fn main() {
 
     // TrajPattern.
     let t0 = Instant::now();
-    let ours = mine(&data, &grid, &params).expect("mining succeeds");
+    let ours = Miner::new(&data, &grid)
+        .params(params.clone())
+        .mine()
+        .expect("mining succeeds");
     let t_ours = t0.elapsed();
 
     // Projection-based baseline (same exact answer, much more work).

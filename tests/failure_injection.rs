@@ -5,7 +5,7 @@
 use datagen::{observe_via_reporting, ZebraConfig};
 use mobility::{LinearModel, ReportingScheme, UncertaintyModel};
 use trajgeo::{BBox, Grid};
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn herd_paths(seed: u64) -> Vec<Vec<trajgeo::Point2>> {
     ZebraConfig {
@@ -20,7 +20,9 @@ fn herd_paths(seed: u64) -> Vec<Vec<trajgeo::Point2>> {
 fn mine_top_nm(data: &trajdata::Dataset) -> Vec<f64> {
     let grid = Grid::new(BBox::unit(), 8, 8).unwrap();
     let params = MiningParams::new(5, 0.06).unwrap().with_max_len(3).unwrap();
-    mine(data, &grid, &params)
+    Miner::new(data, &grid)
+        .params(params)
+        .mine()
         .unwrap()
         .patterns
         .iter()

@@ -4,7 +4,7 @@
 use datagen::{observe_directly, UniformConfig, ZebraConfig};
 use trajgeo::{BBox, Grid};
 use trajpattern::bruteforce::brute_force_top_k;
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 fn assert_same_nms(a: &[f64], b: &[f64], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: cardinality");
@@ -25,7 +25,9 @@ fn trajpattern_equals_pb_on_multi_herd_zebranet() {
     let grid = Grid::new(BBox::unit(), 6, 6).unwrap();
     let params = MiningParams::new(8, 0.06).unwrap().with_max_len(3).unwrap();
 
-    let ours: Vec<f64> = mine(&data, &grid, &params)
+    let ours: Vec<f64> = Miner::new(&data, &grid)
+        .params(params.clone())
+        .mine()
         .unwrap()
         .patterns
         .iter()
@@ -51,7 +53,9 @@ fn trajpattern_equals_brute_force_on_uniform_objects() {
     let grid = Grid::new(BBox::unit(), 4, 4).unwrap();
     let params = MiningParams::new(10, 0.1).unwrap().with_max_len(3).unwrap();
 
-    let ours: Vec<f64> = mine(&data, &grid, &params)
+    let ours: Vec<f64> = Miner::new(&data, &grid)
+        .params(params.clone())
+        .mine()
         .unwrap()
         .patterns
         .iter()
@@ -82,7 +86,9 @@ fn all_three_agree_with_min_len_constraint() {
         .with_max_len(3)
         .unwrap();
 
-    let ours: Vec<f64> = mine(&data, &grid, &params)
+    let ours: Vec<f64> = Miner::new(&data, &grid)
+        .params(params.clone())
+        .mine()
         .unwrap()
         .patterns
         .iter()

@@ -5,7 +5,7 @@ use datagen::{observe_via_reporting, BusConfig, ZebraConfig};
 use mobility::{KalmanModel, LinearModel, MotionModel, RecursiveMotionModel, ReportingScheme};
 use prediction::{evaluate_paths, PatternLibrary};
 use trajgeo::{BBox, Grid, Point2};
-use trajpattern::{mine, MiningParams};
+use trajpattern::{Miner, MiningParams};
 
 #[test]
 fn zebranet_to_patterns_pipeline() {
@@ -28,7 +28,7 @@ fn zebranet_to_patterns_pipeline() {
         .unwrap()
         .with_gamma(0.12)
         .unwrap();
-    let out = mine(&data, &grid, &params).unwrap();
+    let out = Miner::new(&data, &grid).params(params).mine().unwrap();
     assert_eq!(out.patterns.len(), 6);
     // Results sorted, finite, non-positive (log-probability means).
     for w in out.patterns.windows(2) {
@@ -68,7 +68,10 @@ fn bus_velocity_patterns_assist_all_three_models() {
         .unwrap()
         .with_max_len(6)
         .unwrap();
-    let mined = mine(&velocities, &grid, &params).unwrap();
+    let mined = Miner::new(&velocities, &grid)
+        .params(params)
+        .mine()
+        .unwrap();
     assert!(!mined.patterns.is_empty());
     let lib = PatternLibrary::new(mined.patterns, grid, 0.005, 1e-12, 0.9).unwrap();
 
@@ -116,7 +119,10 @@ fn message_loss_degrades_gracefully() {
         let mut model = LinearModel::new();
         let data = observe_via_reporting(&paths, &mut model, &scheme, 5);
         sigmas.push(data.stats().unwrap().avg_sigma);
-        let out = mine(&data, &grid, &params).unwrap();
+        let out = Miner::new(&data, &grid)
+            .params(params.clone())
+            .mine()
+            .unwrap();
         assert_eq!(out.patterns.len(), 5, "loss {loss}");
     }
     assert!(
@@ -147,7 +153,10 @@ fn velocity_and_location_mining_find_different_structure() {
         .unwrap()
         .with_max_len(2)
         .unwrap();
-    let loc_out = mine(&locations, &grid, &params).unwrap();
+    let loc_out = Miner::new(&locations, &grid)
+        .params(params.clone())
+        .mine()
+        .unwrap();
 
     // Velocity mining: both objects share velocity (0.03, 0) exactly, so
     // the top velocity pattern scores (near-)perfectly on both.
@@ -158,7 +167,10 @@ fn velocity_and_location_mining_find_different_structure() {
         5,
     )
     .unwrap();
-    let vel_out = mine(&velocities, &vgrid, &params).unwrap();
+    let vel_out = Miner::new(&velocities, &vgrid)
+        .params(params)
+        .mine()
+        .unwrap();
 
     // Per-trajectory NM: the location pattern can fit one line only, so
     // its total carries one floored trajectory; the velocity pattern fits

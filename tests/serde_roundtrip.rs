@@ -5,7 +5,7 @@
 use datagen::{observe_directly, UniformConfig};
 use trajdata::Dataset;
 use trajgeo::{BBox, CellId, Grid};
-use trajpattern::{mine, MiningParams, Pattern};
+use trajpattern::{Miner, MiningParams, Pattern};
 
 fn small_dataset() -> Dataset {
     let cfg = UniformConfig {
@@ -41,7 +41,7 @@ fn mined_patterns_serialize_with_stable_shape() {
         .unwrap()
         .with_gamma(0.3)
         .unwrap();
-    let out = mine(&d, &grid, &params).unwrap();
+    let out = Miner::new(&d, &grid).params(params).mine().unwrap();
 
     let patterns_json = serde_json::to_value(&out.patterns).unwrap();
     let arr = patterns_json.as_array().unwrap();
