@@ -15,10 +15,10 @@
 //! static server plus one `RwLock` read and `Arc` clone, so the ratio
 //! should stay within ~2× on one core.
 
-use crate::serve::ServePoint;
+use crate::serve::{roundtrip, summarize, ServePoint};
 use crate::workloads::zebranet_workload;
 use serde::Serialize;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -105,43 +105,14 @@ pub struct FleetThroughputResult {
     pub totals: FleetTotals,
 }
 
-/// Issues one GET on a kept-alive connection and reads the full response,
-/// returning status and body.
+/// Issues one GET on a kept-alive connection, returning status and body.
 fn get_roundtrip(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     path: &str,
-) -> (u16, String) {
-    writer
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes())
-        .expect("request written");
-    writer.flush().expect("request flushed");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {line:?}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).expect("header line");
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v.parse().expect("numeric content-length");
-        }
-    }
-    let mut payload = vec![0u8; content_length];
-    reader.read_exact(&mut payload).expect("response body");
-    (status, String::from_utf8_lossy(&payload).into_owned())
+) -> (u16, Vec<u8>) {
+    let head = format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
+    roundtrip(reader, writer, &head, &[])
 }
 
 /// Drives `clients × requests_per_client` keep-alive GETs against `addr`,
@@ -188,34 +159,6 @@ where
     (latencies, t0.elapsed().as_secs_f64())
 }
 
-fn summarize(endpoint: &str, lat: &mut [f64], wall_secs: f64) -> ServePoint {
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let n = lat.len();
-    let pct = |q: f64| {
-        if n == 0 {
-            0.0
-        } else {
-            lat[(((n - 1) as f64) * q).round() as usize] * 1e3
-        }
-    };
-    ServePoint {
-        endpoint: endpoint.to_string(),
-        requests: n as u64,
-        req_per_sec: if wall_secs > 0.0 {
-            n as f64 / wall_secs
-        } else {
-            0.0
-        },
-        p50_ms: pct(0.5),
-        p99_ms: pct(0.99),
-        mean_ms: if n > 0 {
-            lat.iter().sum::<f64>() / n as f64 * 1e3
-        } else {
-            0.0
-        },
-    }
-}
-
 /// Polls `/v1/shards` until every shard's published `next_seq` reaches
 /// its expected event count.
 fn wait_absorbed(addr: SocketAddr, expected: &[(String, u64)]) {
@@ -227,7 +170,8 @@ fn wait_absorbed(addr: SocketAddr, expected: &[(String, u64)]) {
         let mut reader = BufReader::new(stream);
         let (status, body) = get_roundtrip(&mut reader, &mut writer, "/v1/shards");
         assert_eq!(status, 200);
-        let doc: serde_json::Value = serde_json::from_str(&body).expect("shards JSON");
+        let body = std::str::from_utf8(&body).expect("UTF-8 shards body");
+        let doc: serde_json::Value = serde_json::from_str(body).expect("shards JSON");
         let all = expected.iter().all(|(name, want)| {
             doc["shards"]
                 .as_array()

@@ -11,6 +11,7 @@
 //! indexed-vs-brute speedup, in the same `axis`/`config`/`points`
 //! envelope as the other experiments.
 
+use crate::serve::percentile_ms;
 use serde::Serialize;
 use std::time::Instant;
 use trajgeo::Point2;
@@ -108,20 +109,13 @@ fn query_points(n: usize, seed: u64) -> Vec<Point2> {
 fn summarize(route: &str, lat: &mut [f64]) -> QueryPoint {
     lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let n = lat.len();
-    let pct = |q: f64| {
-        if n == 0 {
-            0.0
-        } else {
-            lat[(((n - 1) as f64) * q).round() as usize] * 1e3
-        }
-    };
     let total: f64 = lat.iter().sum();
     QueryPoint {
         route: route.to_string(),
         queries: n as u64,
         qps: if total > 0.0 { n as f64 / total } else { 0.0 },
-        p50_ms: pct(0.5),
-        p99_ms: pct(0.99),
+        p50_ms: percentile_ms(lat, 0.5),
+        p99_ms: percentile_ms(lat, 0.99),
         mean_ms: if n > 0 { total / n as f64 * 1e3 } else { 0.0 },
     }
 }

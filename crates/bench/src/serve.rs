@@ -111,14 +111,14 @@ pub struct ServeThroughputResult {
 }
 
 /// Issues one request on a kept-alive connection and reads the full
-/// response, returning the status code. Panics on a torn response — the
-/// bench asserts the server stays healthy.
-fn roundtrip(
+/// response, returning status and body. Panics on a torn response — the
+/// benches assert the server stays healthy.
+pub(crate) fn roundtrip(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     head: &str,
     body: &[u8],
-) -> u16 {
+) -> (u16, Vec<u8>) {
     writer.write_all(head.as_bytes()).expect("request written");
     writer.write_all(body).expect("body written");
     writer.flush().expect("request flushed");
@@ -148,7 +148,39 @@ fn roundtrip(
     }
     let mut payload = vec![0u8; content_length];
     reader.read_exact(&mut payload).expect("response body");
-    status
+    (status, payload)
+}
+
+/// Nearest-rank percentile `q` of ascending latencies (seconds), in
+/// milliseconds; `0` when there are none.
+pub(crate) fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[(((n - 1) as f64) * q).round() as usize] * 1e3,
+    }
+}
+
+/// One endpoint's point from its request latencies (seconds), with the
+/// request rate taken over `wall_secs`.
+pub(crate) fn summarize(endpoint: &str, lat: &mut [f64], wall_secs: f64) -> ServePoint {
+    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let n = lat.len();
+    ServePoint {
+        endpoint: endpoint.to_string(),
+        requests: n as u64,
+        req_per_sec: if wall_secs > 0.0 {
+            n as f64 / wall_secs
+        } else {
+            0.0
+        },
+        p50_ms: percentile_ms(lat, 0.5),
+        p99_ms: percentile_ms(lat, 0.99),
+        mean_ms: if n > 0 {
+            lat.iter().sum::<f64>() / n as f64 * 1e3
+        } else {
+            0.0
+        },
+    }
 }
 
 /// Runs the serving throughput experiment.
@@ -220,7 +252,7 @@ pub fn run_serve(cfg: &ServeBenchConfig) -> ServeThroughputResult {
                         (&topk_head, &[][..])
                     };
                     let t = Instant::now();
-                    let status = roundtrip(&mut reader, &mut writer, head, body);
+                    let (status, _) = roundtrip(&mut reader, &mut writer, head, body);
                     assert_eq!(status, 200, "request {i} of client {c} failed");
                     lat[score as usize].push(t.elapsed().as_secs_f64());
                 }
@@ -248,33 +280,7 @@ pub fn run_serve(cfg: &ServeBenchConfig) -> ServeThroughputResult {
     let points = ["topk", "score"]
         .iter()
         .zip(&mut latencies)
-        .map(|(endpoint, lat)| {
-            lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            let n = lat.len();
-            let pct = |q: f64| {
-                if n == 0 {
-                    0.0
-                } else {
-                    lat[(((n - 1) as f64) * q).round() as usize] * 1e3
-                }
-            };
-            ServePoint {
-                endpoint: endpoint.to_string(),
-                requests: n as u64,
-                req_per_sec: if wall_secs > 0.0 {
-                    n as f64 / wall_secs
-                } else {
-                    0.0
-                },
-                p50_ms: pct(0.5),
-                p99_ms: pct(0.99),
-                mean_ms: if n > 0 {
-                    lat.iter().sum::<f64>() / n as f64 * 1e3
-                } else {
-                    0.0
-                },
-            }
-        })
+        .map(|(endpoint, lat)| summarize(endpoint, lat, wall_secs))
         .collect();
 
     ServeThroughputResult {

@@ -76,9 +76,10 @@ of the data); --velocity true mines velocity trajectories instead of
 locations; --gamma enables pattern-group discovery; --map true prints an
 ASCII density map with the top pattern overlaid; --threads sets the scorer
 worker count (0 = one per core; any value gives bit-identical results).
---on-error controls damaged-CSV handling: strict (default) aborts on the
-first defect, skip drops bad rows/trajectories, repair additionally fixes
-recoverable values; skip and repair print an ingest report to stderr.
+--on-error controls damaged-input handling: strict (default) aborts on the
+first defect, skip drops bad CSV rows, .events lines and trajectories,
+repair additionally fixes recoverable values; for CSV input, skip and
+repair print an ingest report to stderr.
 --checkpoint FILE saves resumable state after every growth level;
 --resume FILE continues an interrupted run (the data and parameters must
 match the checkpointed run) with bit-identical results.
@@ -129,8 +130,8 @@ stay live, and after every event the maintained top-k is bit-identical to
 --bbox defaults to the unit square 0,0,1,1. Every --emit-every arrivals a
 top-k snapshot is printed to stdout as one JSON line; the final snapshot is
 also written to --json FILE. --follow true keeps polling the log for
-appended events every --poll-ms (default 50; --idle-ms is the older
-spelling) until a `# eof` line arrives. SIGINT/SIGTERM drain cleanly:
+appended events every --poll-ms (default 50) until a `# eof` line
+arrives. SIGINT/SIGTERM drain cleanly:
 the loop stops at the next event boundary, flushes the final checkpoint,
 and exits 0. --checkpoint FILE saves the stream state (window +
 contribution ledger) after every emission and at the end; --resume FILE
@@ -147,7 +148,7 @@ POST /v1/predict (next-cell distribution; --confirm sets the confirmation
 threshold, default 0.9), GET /healthz, and GET /metrics (plain-text
 counters: requests, latency buckets, queue depth, scorer stats). The
 POST routes share one query schema: `{\"trajectories\": [...],
-\"options\": {\"measure\", \"use_index\", \"patterns\"}}` — a plain
+\"options\": {\"measure\", \"patterns\"}}` — a plain
 dataset JSON works as-is; errors come back as
 `{\"error\": {\"code\", \"message\"}}`. The accept queue is bounded
 (--queue, default 64) and answers 503 when full;
@@ -182,8 +183,8 @@ queries are served live as POST /v1/prange and /v1/pnn — body
 static mode, shard windows (with ?shard=NAME or deterministic fan-out
 merge) in live mode — plus POST /v1/matchlive (`{\"pattern\": [cells],
 \"threshold\"}`) for NM pattern matching over the live windows. A
-σ-expanded-bbox index prunes candidates; --brute true (or
-`\"options\": {\"use_index\": false}`) scans instead, bit-identically.";
+σ-expanded-bbox index prunes candidates; `query --brute true` scans
+instead, bit-identically.";
 
 /// Runs the subcommand in `args`.
 pub fn dispatch(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -426,12 +427,8 @@ fn mine_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
             eprintln!("ingest: {r}");
         }
     }
-    let k: usize = args.get_or("k", 10usize)?;
     let grid_side: u32 = args.get_or("grid", 16u32)?;
-    let min_len: usize = args.get_or("min-len", 1usize)?;
-    let max_len: usize = args.get_or("max-len", 8usize)?;
     let velocity: bool = args.get_or("velocity", false)?;
-    let threads: usize = args.get_or("threads", 1usize)?;
 
     if velocity {
         data = data.to_velocity().map_err(trajpattern::Error::from)?;
@@ -443,23 +440,9 @@ fn mine_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
             .ok_or("dataset has no snapshots to mine")?,
     };
     let grid = Grid::new(bbox, grid_side, grid_side).map_err(trajpattern::Error::from)?;
-    let default_delta = grid.cell_width().min(grid.cell_height()) * 0.5;
-    let delta: f64 = args.get_or("delta", default_delta)?;
+    let params = mining_params(args, &grid)?;
 
-    let mut params = MiningParams::new(k, delta)
-        .and_then(|p| p.with_min_len(min_len))
-        .and_then(|p| p.with_max_len(max_len))
-        .map_err(trajpattern::Error::from)?;
-    if let Some(g) = args.get("gamma") {
-        let gamma: f64 = g
-            .parse()
-            .map_err(|_| format!("invalid --gamma value '{g}'"))?;
-        params = params.with_gamma(gamma).map_err(trajpattern::Error::from)?;
-    }
-
-    let mut miner = Miner::new(&data, &grid)
-        .params(params.clone())
-        .threads(threads);
+    let mut miner = Miner::new(&data, &grid).params(params.clone());
     if let Some(path) = args.get("checkpoint") {
         miner = miner.checkpoint(path);
     }
@@ -637,20 +620,11 @@ fn serve_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
         (Some(_), Some(_)) => return Err("pass either --snapshot or --db, not both".into()),
         (None, None) => return Err("serve needs --snapshot FILE or --db DIR --name NAME".into()),
     };
-    let confirm: f64 = args.get_or("confirm", 0.9f64)?;
     let cfg = trajserve::ServerConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
-        workers: args.get_or("workers", 2usize)?,
-        queue: args.get_or("queue", 64usize)?,
-        read_timeout: Duration::from_millis(args.get_or("read-timeout-ms", 5000u64)?),
-        write_timeout: Duration::from_millis(args.get_or("write-timeout-ms", 5000u64)?),
-        scorer_threads: args.get_or("threads", 1usize)?,
-        confirm_threshold: confirm,
         watch: args.get_or("watch", false)?,
         watch_interval: Duration::from_millis(args.get_or("watch-interval-ms", 500u64)?),
         snapshot_path: Some(snapshot_path.clone()),
-        allow_panic_injection: args.get_or("allow-panic-injection", false)?,
-        ..trajserve::ServerConfig::default()
+        ..server_config(args)?
     };
 
     let snapshot = trajserve::Snapshot::load(&snapshot_path)?;
@@ -674,19 +648,10 @@ fn serve_cmd(args: &Args) -> Result<(), Box<dyn Error>> {
         if cfg.watch { ", watching snapshot" } else { "" }
     );
 
-    // Flip the server's shutdown switch when SIGTERM/SIGINT arrives, so
-    // in-flight requests drain and `run` returns for a clean exit 0.
-    trajserve::signal::install_termination_handler();
-    let flag = trajserve::signal::termination_flag();
-    let handle = server.handle();
-    std::thread::spawn(move || {
-        while !flag.load(std::sync::atomic::Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        eprintln!("termination signal received: draining in-flight requests");
-        handle.shutdown();
-    });
-
+    shutdown_on_signal(
+        server.handle(),
+        "termination signal received: draining in-flight requests",
+    );
     server.run()?;
     eprintln!("trajserve stopped cleanly");
     Ok(())
@@ -796,28 +761,23 @@ fn emit_snapshot(
     Ok(())
 }
 
-/// The idle/poll interval shared by `stream --follow` and the live
-/// fleet ingesters: `--poll-ms`, with `--idle-ms` kept as the older
-/// spelling of the same knob.
+/// The poll interval shared by `stream --follow` and the live fleet
+/// ingesters: `--poll-ms` (default 50).
 pub(crate) fn stream_poll_interval(args: &Args) -> Result<std::time::Duration, Box<dyn Error>> {
-    let idle_ms: u64 = args.get_or("idle-ms", 50u64)?;
-    let poll_ms: u64 = args.get_or("poll-ms", idle_ms)?;
-    Ok(std::time::Duration::from_millis(poll_ms))
+    Ok(std::time::Duration::from_millis(
+        args.get_or("poll-ms", 50u64)?,
+    ))
 }
 
-/// Builds the fixed grid and mining parameters `stream` and
-/// `serve --live` share (`--bbox` defaults to the unit square — the
-/// grid must exist before any data arrives).
-pub(crate) fn stream_mining_setup(args: &Args) -> Result<(Grid, MiningParams), Box<dyn Error>> {
+/// Builds the mining parameters `mine`, `stream` and `serve --live` share
+/// from `--k`, `--delta` (default: half the smaller cell side of `grid`),
+/// `--min-len`, `--max-len`, `--gamma` and `--threads`.
+fn mining_params(args: &Args, grid: &Grid) -> Result<MiningParams, Box<dyn Error>> {
     let k: usize = args.get_or("k", 10usize)?;
-    let grid_side: u32 = args.get_or("grid", 16u32)?;
-    let bbox = parse_bbox(args.get("bbox").unwrap_or("0,0,1,1"))?;
-    let grid = Grid::new(bbox, grid_side, grid_side).map_err(trajpattern::Error::from)?;
     let default_delta = grid.cell_width().min(grid.cell_height()) * 0.5;
     let delta: f64 = args.get_or("delta", default_delta)?;
     let min_len: usize = args.get_or("min-len", 1usize)?;
     let max_len: usize = args.get_or("max-len", 8usize)?;
-    let threads: usize = args.get_or("threads", 1usize)?;
 
     let mut params = MiningParams::new(k, delta)
         .and_then(|p| p.with_min_len(min_len))
@@ -829,8 +789,52 @@ pub(crate) fn stream_mining_setup(args: &Args) -> Result<(Grid, MiningParams), B
             .map_err(|_| format!("invalid --gamma value '{g}'"))?;
         params = params.with_gamma(gamma).map_err(trajpattern::Error::from)?;
     }
-    params.threads = threads;
+    params.threads = args.get_or("threads", 1usize)?;
+    Ok(params)
+}
+
+/// Builds the fixed grid and mining parameters `stream` and
+/// `serve --live` share (`--bbox` defaults to the unit square — the
+/// grid must exist before any data arrives).
+pub(crate) fn stream_mining_setup(args: &Args) -> Result<(Grid, MiningParams), Box<dyn Error>> {
+    let grid_side: u32 = args.get_or("grid", 16u32)?;
+    let bbox = parse_bbox(args.get("bbox").unwrap_or("0,0,1,1"))?;
+    let grid = Grid::new(bbox, grid_side, grid_side).map_err(trajpattern::Error::from)?;
+    let params = mining_params(args, &grid)?;
     Ok((grid, params))
+}
+
+/// The server settings `serve` and `serve --live` share, from `--addr`,
+/// `--workers`, `--queue`, the `--*-timeout-ms` flags, `--threads`,
+/// `--confirm` and `--allow-panic-injection`.
+pub(crate) fn server_config(args: &Args) -> Result<trajserve::ServerConfig, Box<dyn Error>> {
+    use std::time::Duration;
+    Ok(trajserve::ServerConfig {
+        addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
+        workers: args.get_or("workers", 2usize)?,
+        queue: args.get_or("queue", 64usize)?,
+        read_timeout: Duration::from_millis(args.get_or("read-timeout-ms", 5000u64)?),
+        write_timeout: Duration::from_millis(args.get_or("write-timeout-ms", 5000u64)?),
+        scorer_threads: args.get_or("threads", 1usize)?,
+        confirm_threshold: args.get_or("confirm", 0.9f64)?,
+        allow_panic_injection: args.get_or("allow-panic-injection", false)?,
+        ..trajserve::ServerConfig::default()
+    })
+}
+
+/// Flips the server's shutdown switch when SIGTERM/SIGINT arrives, after
+/// printing `message`, so in-flight requests drain and `run` returns for
+/// a clean exit 0.
+pub(crate) fn shutdown_on_signal(handle: trajserve::ServerHandle, message: &'static str) {
+    trajserve::signal::install_termination_handler();
+    let flag = trajserve::signal::termination_flag();
+    std::thread::spawn(move || {
+        while !flag.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        eprintln!("{message}");
+        handle.shutdown();
+    });
 }
 
 /// Shared tail of `trajmine stream`: print the run summary and top-k,
@@ -1131,6 +1135,79 @@ mod tests {
     }
 
     #[test]
+    fn mine_decodes_damaged_events_like_feed_decode() {
+        let dir = std::env::temp_dir().join(format!("trajmine-evskip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("good.events");
+        dispatch(&args(&[
+            "generate",
+            "--workload",
+            "zebranet",
+            "--traces",
+            "8",
+            "--snapshots",
+            "10",
+            "--out",
+            log.to_str().unwrap(),
+        ]))
+        .unwrap();
+        // Line 4 (the third event) no longer parses.
+        let mut lines: Vec<String> = std::fs::read_to_string(&log)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(lines[0], EVENTS_VERSION_LINE);
+        lines[3] = "t 0.1 oops 0.05".to_string();
+        let bad = dir.join("bad.events");
+        std::fs::write(&bad, lines.join("\n") + "\n").unwrap();
+        let bad = bad.to_str().unwrap();
+        let mine = |input: &str, json: &std::path::Path, policy: &str| {
+            dispatch(&args(&[
+                "mine",
+                "--input",
+                input,
+                "--k",
+                "3",
+                "--grid",
+                "6",
+                "--max-len",
+                "3",
+                "--on-error",
+                policy,
+                "--json",
+                json.to_str().unwrap(),
+            ]))
+        };
+
+        let err = mine(bad, &dir.join("strict.json"), "strict").unwrap_err();
+        assert!(err.to_string().contains("line 4"), "{err}");
+
+        // `mine` over the damaged log equals `feed decode` then `mine`.
+        let direct = dir.join("direct.json");
+        mine(bad, &direct, "skip").unwrap();
+        let decoded = dir.join("decoded.json");
+        dispatch(&args(&[
+            "feed",
+            "decode",
+            "--input",
+            bad,
+            "--on-error",
+            "skip",
+            "--out",
+            decoded.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let via_decode = dir.join("via_decode.json");
+        mine(decoded.to_str().unwrap(), &via_decode, "skip").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&direct).unwrap(),
+            std::fs::read_to_string(&via_decode).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn mine_checkpoint_then_resume_round_trips() {
         let dir = std::env::temp_dir().join(format!("trajmine-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1422,13 +1499,17 @@ mod tests {
             "5",
             "--max-len",
             "2",
+            "--threads",
+            "2",
             "--json",
             json_path.to_str().unwrap(),
         ]))
         .unwrap();
-        // The written file is a valid, loadable trajserve snapshot.
+        // The written file is a valid, loadable trajserve snapshot that
+        // records the parameters it was mined with.
         let snap = trajserve::Snapshot::load(&json_path).unwrap();
         assert_eq!(snap.patterns.len(), 2);
+        assert_eq!(snap.params.threads, 2);
         assert!(snap.stream.is_none());
         let raw: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&json_path).unwrap()).unwrap();

@@ -2,11 +2,12 @@
 //! (CSV / `.events` log / dead-reckoning log / JSON), the fault-tolerant
 //! ingest path, and small argument parsers for spatial flags.
 //!
-//! Every load goes through the [`trajfeed`] spine: file bytes become a
-//! [`trajfeed::StaticFeed`] (or a replayed [`trajfeed::DrFeed`] for
-//! dead-reckoning logs) and are drained through the same
-//! decode → reconstruct → sanitize stages live consumers run, so batch
-//! and streaming ingestion cannot diverge.
+//! Every load goes through the [`trajfeed`] spine: `.events` and
+//! dead-reckoning logs are replayed through the same feed
+//! ([`trajfeed::open`]) `stream` and live shards use, and CSV / JSON bytes
+//! become a [`trajfeed::StaticFeed`]. Either way records are drained
+//! through the same decode → reconstruct → sanitize stages live
+//! consumers run, so batch and streaming ingestion cannot diverge.
 
 use crate::args::Args;
 use std::error::Error;
@@ -23,15 +24,22 @@ pub fn load(args: &Args) -> Result<Dataset, Box<dyn Error>> {
 /// Loads the dataset under an ingest policy. CSV inputs go through the
 /// fault-tolerant [`trajdata::ingest`] path and return a report; JSON
 /// inputs are all-or-nothing, but `Repair` still sanitizes the loaded
-/// dataset in place. Dead-reckoning logs (`.drlog` / `dr:PATH`) are
-/// reconstructed with the `--dr-*` knobs.
+/// dataset in place. `.events` and dead-reckoning logs (`.drlog` /
+/// `dr:PATH`) are replayed through the feed spine, whose sanitize stage
+/// applies the policy line by line; dead-reckoning logs are reconstructed
+/// with the `--dr-*` knobs.
 pub fn load_with_policy(
     args: &Args,
     policy: IngestPolicy,
 ) -> Result<(Dataset, Option<IngestReport>), Box<dyn Error>> {
     let input = args.require("input")?;
     let spec = SourceSpec::parse(input);
-    if matches!(spec, SourceSpec::Dr(_)) {
+    if matches!(spec, SourceSpec::EventsTcp(_) | SourceSpec::DrTcp(_)) {
+        return Err(format!("--input {input}: socket sources are stream-only (use `trajmine stream` or `serve --live`)").into());
+    }
+    // `SourceSpec::parse` reads every other name (CSV and JSON included)
+    // as an event log, so `.events` is recognized by its extension.
+    if matches!(spec, SourceSpec::Dr(_)) || input.ends_with(".events") {
         let opts = FeedOptions {
             policy,
             dr: dr_config(args)?,
@@ -42,15 +50,10 @@ pub fn load_with_policy(
         let data: Dataset = trajfeed::drain(feed.as_mut(), &stop)?.into_iter().collect();
         return Ok((data, None));
     }
-    if matches!(spec, SourceSpec::EventsTcp(_) | SourceSpec::DrTcp(_)) {
-        return Err(format!("--input {input}: socket sources are stream-only (use `trajmine stream` or `serve --live`)").into());
-    }
 
     let raw = std::fs::read_to_string(input)?;
     let mut feed = if input.ends_with(".csv") {
         StaticFeed::from_csv(&raw, policy)?
-    } else if input.ends_with(".events") {
-        StaticFeed::from_events(&raw, policy)?
     } else {
         let mut feed = StaticFeed::from_dataset(Dataset::from_json(&raw)?);
         if policy == IngestPolicy::Repair {

@@ -19,7 +19,6 @@
 
 use crate::args::Args;
 use std::error::Error;
-use std::time::Duration;
 
 /// Runs the live fleet until a termination signal drains it.
 pub fn serve_live(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -48,17 +47,7 @@ pub fn serve_live(args: &Args) -> Result<(), Box<dyn Error>> {
         }
     };
 
-    let server_cfg = trajserve::ServerConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
-        workers: args.get_or("workers", 2usize)?,
-        queue: args.get_or("queue", 64usize)?,
-        read_timeout: Duration::from_millis(args.get_or("read-timeout-ms", 5000u64)?),
-        write_timeout: Duration::from_millis(args.get_or("write-timeout-ms", 5000u64)?),
-        scorer_threads: args.get_or("threads", 1usize)?,
-        confirm_threshold: args.get_or("confirm", 0.9f64)?,
-        allow_panic_injection: args.get_or("allow-panic-injection", false)?,
-        ..trajserve::ServerConfig::default()
-    };
+    let server_cfg = crate::commands::server_config(args)?;
 
     let fleet = trajfleet::Fleet::launch(
         specs,
@@ -84,17 +73,10 @@ pub fn serve_live(args: &Args) -> Result<(), Box<dyn Error>> {
     // Same drain story as plain `serve`: a termination signal stops the
     // accept loop; `Fleet::run` then stops every ingester and each one
     // flushes its final checkpoint before the process exits 0.
-    trajserve::signal::install_termination_handler();
-    let flag = trajserve::signal::termination_flag();
-    let handle = fleet.handle();
-    std::thread::spawn(move || {
-        while !flag.load(std::sync::atomic::Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        eprintln!("termination signal received: draining in-flight requests and shard ingesters");
-        handle.shutdown();
-    });
-
+    crate::commands::shutdown_on_signal(
+        fleet.handle(),
+        "termination signal received: draining in-flight requests and shard ingesters",
+    );
     fleet.run()?;
     eprintln!("trajserve stopped cleanly");
     Ok(())

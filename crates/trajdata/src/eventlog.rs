@@ -190,49 +190,10 @@ pub fn parse_event_line(raw: &str, line_no: usize) -> Result<Option<Trajectory>,
     Ok(Some(traj))
 }
 
-/// Why tailing an event log stopped with an error.
-#[derive(Debug)]
-pub enum TailError {
-    /// Reading the underlying file failed.
-    Io(std::io::Error),
-    /// A complete line could not be parsed.
-    Log(EventLogError),
-}
-
-impl fmt::Display for TailError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TailError::Io(_) => write!(f, "event log read failed"),
-            TailError::Log(_) => write!(f, "event log tail"),
-        }
-    }
-}
-
-impl std::error::Error for TailError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TailError::Io(e) => Some(e),
-            TailError::Log(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for TailError {
-    fn from(e: std::io::Error) -> Self {
-        TailError::Io(e)
-    }
-}
-
-impl From<EventLogError> for TailError {
-    fn from(e: EventLogError) -> Self {
-        TailError::Log(e)
-    }
-}
-
 /// A `tail -f`-style reader over any line-oriented log file — the raw
-/// transport layer under [`EventTailer`] and the `trajfeed` file
-/// sources (the dead-reckoning log has a different protocol on top but
-/// identical follow/torn-line semantics, so they share this reader).
+/// transport layer under the `trajfeed` file sources (the `.events` and
+/// dead-reckoning protocols differ on top but share these follow/torn-line
+/// semantics).
 ///
 /// Semantics, version-agnostic (protocol layers interpret content):
 ///
@@ -247,7 +208,6 @@ impl From<EventLogError> for TailError {
 pub struct LineFollower {
     reader: std::io::BufReader<std::fs::File>,
     line: String,
-    line_no: usize,
     follow: bool,
     poll: Duration,
 }
@@ -264,15 +224,9 @@ impl LineFollower {
         Ok(LineFollower {
             reader: std::io::BufReader::new(std::fs::File::open(path)?),
             line: String::new(),
-            line_no: 0,
             follow,
             poll,
         })
-    }
-
-    /// 1-based number of the last line consumed.
-    pub fn line_no(&self) -> usize {
-        self.line_no
     }
 
     /// Returns the next complete line (trailing `\n`/`\r` stripped), or
@@ -315,79 +269,7 @@ impl LineFollower {
                 }
             }
         }
-        self.line_no += 1;
         Ok(Some(self.line.trim_end_matches(['\n', '\r'])))
-    }
-}
-
-/// A `tail -f`-style reader over a live event log: [`LineFollower`]
-/// transport plus the event-log protocol (version line, `# eof`
-/// terminator, `t …` arrival records).
-///
-/// * the first content line must be [`EVENTS_VERSION_LINE`] (blank lines
-///   and comments before it are fine, matching [`parse_event_log`]);
-/// * a `# eof` comment line is the producer's explicit terminator
-///   (follow mode only — replays treat it as an ordinary comment);
-/// * follow/torn-line/stop semantics are the transport's.
-pub struct EventTailer {
-    lines: LineFollower,
-    seen_version: bool,
-    follow: bool,
-}
-
-impl EventTailer {
-    /// Opens `path` for tailing. `follow` selects live-tail semantics
-    /// (sleep-and-retry at EOF, honour `# eof`); `poll` is the sleep
-    /// interval between polls.
-    pub fn open(
-        path: &std::path::Path,
-        follow: bool,
-        poll: Duration,
-    ) -> Result<EventTailer, TailError> {
-        Ok(EventTailer {
-            lines: LineFollower::open(path, follow, poll)?,
-            seen_version: false,
-            follow,
-        })
-    }
-
-    /// 1-based number of the last line consumed.
-    pub fn line_no(&self) -> usize {
-        self.lines.line_no()
-    }
-
-    /// Returns the next arrival event, or `Ok(None)` when the log ended:
-    /// end-of-file in replay mode, a `# eof` terminator in follow mode,
-    /// or `stop` observed while waiting for more bytes. Blank lines and
-    /// comments are skipped internally.
-    pub fn next_event(&mut self, stop: &AtomicBool) -> Result<Option<Trajectory>, TailError> {
-        loop {
-            let Some(raw) = self.lines.next_line(stop)? else {
-                return Ok(None);
-            };
-            let raw = raw.to_string();
-            let line_no = self.lines.line_no();
-            let content = raw.trim();
-            if !self.seen_version {
-                if content.is_empty() || content.starts_with('#') {
-                    continue;
-                }
-                if content != EVENTS_VERSION_LINE {
-                    return Err(EventLogError::Version {
-                        found: content.to_string(),
-                    }
-                    .into());
-                }
-                self.seen_version = true;
-                continue;
-            }
-            if self.follow && content == "# eof" {
-                return Ok(None);
-            }
-            if let Some(traj) = parse_event_line(&raw, line_no)? {
-                return Ok(Some(traj));
-            }
-        }
     }
 }
 
@@ -540,88 +422,6 @@ mod tests {
         let events = parse_event_log(&text).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].len(), 1);
-    }
-
-    #[test]
-    fn tailer_replays_a_complete_log() {
-        let data = sample();
-        let dir = std::env::temp_dir().join(format!("trajdata-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("replay.events");
-        std::fs::write(&path, write_event_log(&data)).unwrap();
-
-        let stop = AtomicBool::new(false);
-        let mut tailer = EventTailer::open(&path, false, Duration::from_millis(1)).unwrap();
-        let mut events = Vec::new();
-        while let Some(t) = tailer.next_event(&stop).unwrap() {
-            events.push(t);
-        }
-        assert_eq!(events.len(), data.len());
-        for (orig, parsed) in data.iter().zip(&events) {
-            for (a, b) in orig.points().iter().zip(parsed.points()) {
-                assert_eq!(a.mean.x.to_bits(), b.mean.x.to_bits());
-            }
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn tailer_follows_appends_and_honours_eof() {
-        use std::io::Write;
-        let data = sample();
-        let dir = std::env::temp_dir().join(format!("trajdata-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("follow.events");
-        std::fs::write(&path, format!("{EVENTS_VERSION_LINE}\n")).unwrap();
-
-        let writer_path = path.clone();
-        let writer_data = data.clone();
-        let writer = std::thread::spawn(move || {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&writer_path)
-                .unwrap();
-            for traj in writer_data.iter() {
-                let mut line = String::new();
-                append_event(&mut line, traj);
-                // Torn append: write half the line, pause, then the rest —
-                // the tailer must wait for the newline.
-                let half = line.len() / 2;
-                f.write_all(&line.as_bytes()[..half]).unwrap();
-                f.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(3));
-                f.write_all(&line.as_bytes()[half..]).unwrap();
-                f.flush().unwrap();
-            }
-            f.write_all(b"# eof\n").unwrap();
-        });
-
-        let stop = AtomicBool::new(false);
-        let mut tailer = EventTailer::open(&path, true, Duration::from_millis(1)).unwrap();
-        let mut events = Vec::new();
-        while let Some(t) = tailer.next_event(&stop).unwrap() {
-            events.push(t);
-        }
-        writer.join().unwrap();
-        assert_eq!(events.len(), data.len());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn tailer_stop_flag_ends_a_blocked_follow() {
-        let dir = std::env::temp_dir().join(format!("trajdata-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stop.events");
-        std::fs::write(&path, format!("{EVENTS_VERSION_LINE}\nt 0.1 0.2 0.0\n")).unwrap();
-
-        let stop = AtomicBool::new(false);
-        let mut tailer = EventTailer::open(&path, true, Duration::from_millis(1)).unwrap();
-        assert!(tailer.next_event(&stop).unwrap().is_some());
-        // No more bytes and no `# eof`: without the stop flag this would
-        // poll forever. Raise it and the tail ends cleanly.
-        stop.store(true, Ordering::SeqCst);
-        assert!(tailer.next_event(&stop).unwrap().is_none());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

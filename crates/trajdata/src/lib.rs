@@ -30,7 +30,7 @@ pub mod trajectory;
 
 pub use csv::{ingest, IngestPolicy, IngestReport};
 pub use dataset::{Dataset, DatasetStats};
-pub use eventlog::{EventLogError, EventTailer, LineFollower, TailError};
+pub use eventlog::{EventLogError, LineFollower};
 pub use sanitize::{sanitize, SanitizeReport};
 pub use snapshot::SnapshotPoint;
 pub use trajectory::{Trajectory, TrajectoryError};

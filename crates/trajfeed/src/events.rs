@@ -2,8 +2,9 @@
 //! arrival records, `# eof` terminator — over any [`LineSource`].
 //!
 //! This is the same protocol [`trajdata::eventlog`] defines; the decode
-//! is shared via [`parse_event_line`], so a file replay, a live tail,
-//! and a TCP stream cannot diverge in what a record means.
+//! is shared via [`parse_event_line`], so a file replay, a live tail, a
+//! TCP stream, and `trajmine mine` over a `.events` file cannot diverge
+//! in what a record means.
 
 use crate::line::{LineSource, LineStep};
 use crate::{Feed, FeedBatch, FeedError, FeedStats, Pipeline};
@@ -23,8 +24,7 @@ pub struct EventsFeed<S: LineSource> {
 
 impl<S: LineSource> EventsFeed<S> {
     /// Wraps a line source. `honour_eof` selects live semantics: a
-    /// `# eof` line ends the stream (replays treat it as a comment,
-    /// matching [`trajdata::EventTailer`]).
+    /// `# eof` line ends the stream (replays treat it as a comment).
     pub fn new(lines: S, pipeline: Pipeline, honour_eof: bool, kind: &'static str) -> Self {
         EventsFeed {
             lines,
@@ -158,6 +158,68 @@ mod tests {
 
         let mut strict = replay(&path, IngestPolicy::Strict);
         assert!(crate::drain(&mut strict, &stop).is_err());
+    }
+
+    fn follow(path: &std::path::Path) -> EventsFeed<FileLineSource> {
+        let src = FileLineSource::open(path, true, Duration::from_millis(1)).unwrap();
+        EventsFeed::new(src, Pipeline::default(), true, "events")
+    }
+
+    #[test]
+    fn follows_torn_appends_until_the_eof_marker() {
+        use std::io::Write;
+        let path = temp("follow.events", &format!("{EVENTS_VERSION_LINE}\n"));
+        let lines: Vec<String> = (0..4)
+            .map(|i| format!("t 0.{i} 0.5 0.05 0.{i}5 0.5 0.05\n"))
+            .collect();
+        let writer_path = path.clone();
+        let writer_lines = lines.clone();
+        let writer = std::thread::spawn(move || {
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&writer_path)
+                .unwrap();
+            for line in &writer_lines {
+                // Torn append: half the line, a pause, then the rest —
+                // the feed must wait for the newline.
+                let half = line.len() / 2;
+                f.write_all(&line.as_bytes()[..half]).unwrap();
+                f.flush().unwrap();
+                std::thread::sleep(Duration::from_millis(3));
+                f.write_all(&line.as_bytes()[half..]).unwrap();
+                f.flush().unwrap();
+            }
+            f.write_all(b"# eof\n").unwrap();
+        });
+
+        let stop = AtomicBool::new(false);
+        let mut feed = follow(&path);
+        let out = crate::drain(&mut feed, &stop).unwrap();
+        writer.join().unwrap();
+        assert_eq!(out.len(), lines.len());
+        assert_eq!(feed.stats().defect_lines, 0);
+        for (i, traj) in out.iter().enumerate() {
+            assert_eq!(traj.len(), 2);
+            assert_eq!(
+                traj.points()[0].mean.x,
+                format!("0.{i}").parse::<f64>().unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn stop_flag_ends_a_blocked_follow() {
+        let path = temp(
+            "stop.events",
+            &format!("{EVENTS_VERSION_LINE}\nt 0.1 0.2 0.0\n"),
+        );
+        let stop = AtomicBool::new(false);
+        let mut feed = follow(&path);
+        assert!(matches!(feed.next_batch(&stop), Ok(FeedBatch::Records(r)) if r.len() == 1));
+        // No more bytes and no `# eof`: without the stop flag this would
+        // poll forever. Raise it and the feed ends cleanly.
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(matches!(feed.next_batch(&stop), Ok(FeedBatch::End)));
     }
 
     #[test]

@@ -299,8 +299,9 @@ impl Pipeline {
     }
 }
 
-/// An in-memory feed over already-decoded records: the path posted HTTP
-/// bodies, JSON datasets, and CSV files take onto the spine.
+/// An in-memory feed over already-decoded records: the path JSON datasets
+/// and CSV files take onto the spine. Line protocols (`.events`,
+/// dead-reckoning logs) decode through their own feeds instead.
 #[derive(Debug)]
 pub struct StaticFeed {
     pending: Vec<Trajectory>,
@@ -335,22 +336,8 @@ impl StaticFeed {
         Ok(feed)
     }
 
-    /// Parses a complete `.events` log (strict) and, under
-    /// [`IngestPolicy::Repair`], sanitizes the result in place.
-    pub fn from_events(text: &str, policy: IngestPolicy) -> Result<StaticFeed, FeedError> {
-        let data: Dataset = trajdata::eventlog::parse_event_log(text)?
-            .into_iter()
-            .collect();
-        let mut feed = StaticFeed::from_dataset(data);
-        if policy == IngestPolicy::Repair {
-            feed.repair();
-        }
-        Ok(feed)
-    }
-
-    /// Sanitizes the pending records in place (the JSON/posted-body
-    /// repair path, where serde bypassed validation) and reports the
-    /// fixes.
+    /// Sanitizes the pending records in place (the JSON repair path,
+    /// where serde bypassed validation) and reports the fixes.
     pub fn repair(&mut self) -> SanitizeReport {
         let mut ds: Dataset = self.pending.drain(..).collect();
         let report = trajdata::sanitize(&mut ds);

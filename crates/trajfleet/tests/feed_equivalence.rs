@@ -11,7 +11,8 @@ use std::io::Write;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
-use trajdata::{Dataset, IngestPolicy, Trajectory};
+use trajdata::eventlog::parse_event_log;
+use trajdata::{Dataset, Trajectory};
 use trajfeed::{FeedOptions, SourceSpec, StaticFeed};
 use trajgeo::{BBox, Grid};
 use trajpattern::MiningParams;
@@ -92,7 +93,8 @@ proptest! {
         let dir = temp_dir("prop");
 
         // Static in-memory feed over the parsed event-log text.
-        let mut st = StaticFeed::from_events(&text, IngestPolicy::Strict).unwrap();
+        let parsed: Dataset = parse_event_log(&text).unwrap().into_iter().collect();
+        let mut st = StaticFeed::from_dataset(parsed);
         let from_static = trajfeed::drain(&mut st, &AtomicBool::new(false)).unwrap();
 
         // File replay.

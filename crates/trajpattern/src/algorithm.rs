@@ -89,7 +89,7 @@ pub fn mine_with_scorer(
         return Ok(empty_outcome());
     }
     let mut state = init_state(scorer, params, &[]).expect("an empty seed is always valid");
-    match run_growth::<_, std::convert::Infallible>(scorer, params, &mut state, |_| Ok(())) {
+    match run_growth::<std::convert::Infallible>(scorer, params, &mut state, |_| Ok(())) {
         Ok(()) => {}
         Err(e) => match e {},
     }

@@ -1,29 +1,15 @@
 //! The shared growth engine: one candidate/prune/top-k loop for every
 //! miner in the stack.
 //!
-//! Historically the batch miner, the seeded re-growth behind the
-//! streaming repair path ([`crate::mine_seeded`]), and the checkpointing
-//! session API ([`crate::Miner`]) each carried their own copy of the
-//! growing process — the same candidate enumeration, the same
-//! weighted-mean bound, the same τ pruning, duplicated. This module is
-//! the single implementation all of them drive. It is parameterized over
-//! an [`NmSource`]: anything that can score patterns and describe the
-//! data enough for the exactness arguments (grid, longest trajectory,
-//! singular NMs) can power a growth run.
+//! The batch miner, the seeded re-growth behind the streaming repair path
+//! ([`crate::mine_seeded`]) and the checkpointing session API
+//! ([`crate::Miner`]) all drive this one implementation — the same
+//! candidate enumeration, the same weighted-mean bound, the same τ
+//! pruning — over one dense [`Scorer`].
 //!
-//! Two sources exist:
-//!
-//! - [`Scorer`] itself — the dense batch source used by [`crate::Miner`];
-//! - [`SeededSource`] — a scorer plus an exact-NM memo over a seed set
-//!   (the streaming ledger's folded sums). The memo is a safety net: the
-//!   growth loop only scores candidates absent from its store, and every
-//!   seed starts *in* the store, so a correctly seeded run never consults
-//!   it — but if it did, the exact ledger value would come back instead
-//!   of a recomputation.
-//!
-//! Every source funnels batches through [`indexed_score`]: large batches
-//! get a [`PatternIndex`](crate::index::PatternIndex) over their bounding
-//! boxes so patterns far from every trajectory resolve analytically —
+//! Every batch goes through `indexed_score`: large batches get a
+//! [`PatternIndex`](crate::index::PatternIndex) over their bounding boxes
+//! so patterns far from every trajectory resolve analytically —
 //! bit-identical either way, so exactness arguments are untouched.
 //!
 //! Because every caller shares [`grow_level`] *and* [`init_state`], a
@@ -42,7 +28,6 @@ use crate::scorer::Scorer;
 use crate::topk::ThresholdTracker;
 use std::fmt;
 use trajgeo::fxhash::{FxHashMap, FxHashSet};
-use trajgeo::Grid;
 
 pub use crate::algorithm::{MiningOutcome, MiningStats};
 
@@ -53,165 +38,15 @@ const INDEX_BATCH_THRESHOLD: usize = 32;
 
 /// Scores `batch` through [`Scorer::query`], attaching a
 /// [`crate::index::PatternIndex`] over the batch when it is large enough
-/// to pay for one. This is the one batch-scoring funnel every engine
-/// source uses, so index-pruning behavior cannot diverge between the
-/// batch, seeded, and streaming paths.
-pub fn indexed_score(scorer: &Scorer<'_>, batch: &[Pattern]) -> Vec<f64> {
+/// to pay for one. This is the one batch-scoring funnel of the growth
+/// loop, so index-pruning behavior cannot diverge between the batch,
+/// seeded, and streaming paths.
+fn indexed_score(scorer: &Scorer<'_>, batch: &[Pattern]) -> Vec<f64> {
     if batch.len() < INDEX_BATCH_THRESHOLD {
         return scorer.query(batch).run();
     }
     let index = crate::index::PatternIndex::build(batch, scorer.grid());
     scorer.query(batch).with_index(&index).run()
-}
-
-/// What the growth engine needs from a scoring backend: exact NM values
-/// plus enough shape information (grid, longest trajectory) for the
-/// pruning thresholds to stay exact.
-///
-/// Implementations must be *exact and deterministic*: `score_batch` must
-/// return, bit for bit, the NM the dense [`Scorer`] would compute for the
-/// same pattern over the same data — every exactness argument in the
-/// crate (bound pruning, τ, certification) leans on that.
-pub trait NmSource {
-    /// The grid patterns are defined over.
-    fn grid(&self) -> &Grid;
-
-    /// Length of the longest trajectory in the data (0 when empty) —
-    /// determines the effective maximum pattern length.
-    fn longest_trajectory(&self) -> usize;
-
-    /// `NM(P)` for every singular pattern, indexed by cell.
-    fn nm_all_singulars(&self) -> Vec<f64>;
-
-    /// Exact NM for each pattern of `batch`, in order.
-    fn score_batch(&self, batch: &[Pattern]) -> Vec<f64>;
-
-    /// Up to `k` genuine length-`min_len` bootstrap patterns read off the
-    /// data (see [`seed_patterns`]).
-    fn seed_patterns(&self, min_len: usize, k: usize) -> Vec<Pattern>;
-
-    /// Total pattern scorings performed so far (monotone counter).
-    fn evaluations(&self) -> u64;
-
-    /// Worker-shard panics absorbed by sequential rescoring so far.
-    fn degraded_rescores(&self) -> u64;
-
-    /// Scorer telemetry for [`MiningOutcome::scorer`].
-    fn scorer_stats(&self) -> crate::ScorerStats;
-}
-
-impl NmSource for Scorer<'_> {
-    fn grid(&self) -> &Grid {
-        Scorer::grid(self)
-    }
-
-    fn longest_trajectory(&self) -> usize {
-        self.data().iter().map(|t| t.len()).max().unwrap_or(0)
-    }
-
-    fn nm_all_singulars(&self) -> Vec<f64> {
-        Scorer::nm_all_singulars(self)
-    }
-
-    fn score_batch(&self, batch: &[Pattern]) -> Vec<f64> {
-        indexed_score(self, batch)
-    }
-
-    fn seed_patterns(&self, min_len: usize, k: usize) -> Vec<Pattern> {
-        seed_patterns(self, min_len, k)
-    }
-
-    fn evaluations(&self) -> u64 {
-        Scorer::evaluations(self)
-    }
-
-    fn degraded_rescores(&self) -> u64 {
-        Scorer::degraded_rescores(self)
-    }
-
-    fn scorer_stats(&self) -> crate::ScorerStats {
-        Scorer::stats(self)
-    }
-}
-
-/// A [`Scorer`] augmented with an exact-NM memo over an already-scored
-/// seed set — the source behind [`crate::mine_seeded`].
-///
-/// The memo holds the caller's exact values (in streaming, the ledger's
-/// folded sums). A batch probe answers from the memo where it can and
-/// forwards only the misses to the scorer, preserving order — so
-/// [`NmSource::evaluations`] (which delegates to the scorer) counts only
-/// genuine data touches, which is exactly the `newly_scored` contract.
-pub struct SeededSource<'s, 'a> {
-    scorer: &'s Scorer<'a>,
-    memo: FxHashMap<Pattern, f64>,
-}
-
-impl<'s, 'a> SeededSource<'s, 'a> {
-    /// Wraps `scorer` with a memo of the seed's exact NMs.
-    pub fn new(scorer: &'s Scorer<'a>, seed: &[MinedPattern]) -> SeededSource<'s, 'a> {
-        let memo = seed
-            .iter()
-            .map(|m| (m.pattern.clone(), m.nm))
-            .collect::<FxHashMap<_, _>>();
-        SeededSource { scorer, memo }
-    }
-
-    /// The wrapped scorer.
-    pub fn scorer(&self) -> &'s Scorer<'a> {
-        self.scorer
-    }
-}
-
-impl NmSource for SeededSource<'_, '_> {
-    fn grid(&self) -> &Grid {
-        self.scorer.grid()
-    }
-
-    fn longest_trajectory(&self) -> usize {
-        NmSource::longest_trajectory(self.scorer)
-    }
-
-    fn nm_all_singulars(&self) -> Vec<f64> {
-        self.scorer.nm_all_singulars()
-    }
-
-    fn score_batch(&self, batch: &[Pattern]) -> Vec<f64> {
-        if batch.iter().all(|p| !self.memo.contains_key(p)) {
-            // The growth loop's case: nothing memoized, one batch —
-            // bit-identical to scoring through the plain scorer.
-            return indexed_score(self.scorer, batch);
-        }
-        let misses: Vec<Pattern> = batch
-            .iter()
-            .filter(|p| !self.memo.contains_key(*p))
-            .cloned()
-            .collect();
-        let mut scored = indexed_score(self.scorer, &misses).into_iter();
-        batch
-            .iter()
-            .map(|p| match self.memo.get(p) {
-                Some(&nm) => nm,
-                None => scored.next().expect("one score per miss"),
-            })
-            .collect()
-    }
-
-    fn seed_patterns(&self, min_len: usize, k: usize) -> Vec<Pattern> {
-        seed_patterns(self.scorer, min_len, k)
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.scorer.evaluations()
-    }
-
-    fn degraded_rescores(&self) -> u64 {
-        self.scorer.degraded_rescores()
-    }
-
-    fn scorer_stats(&self) -> crate::ScorerStats {
-        self.scorer.stats()
-    }
 }
 
 /// Why a seed set was rejected by [`init_state`] (and therefore by
@@ -363,11 +198,12 @@ pub(crate) fn empty_outcome() -> MiningOutcome {
     }
 }
 
-/// The effective maximum pattern length for `source`'s data: patterns
+/// The effective maximum pattern length for `scorer`'s data: patterns
 /// longer than the longest trajectory only ever score the floor, so
 /// growing past it is wasted.
-pub(crate) fn effective_max_len<S: NmSource + ?Sized>(source: &S, params: &MiningParams) -> usize {
-    effective_max_len_from(params, source.longest_trajectory())
+pub(crate) fn effective_max_len(scorer: &Scorer<'_>, params: &MiningParams) -> usize {
+    let longest = scorer.data().iter().map(|t| t.len()).max().unwrap_or(0);
+    effective_max_len_from(params, longest)
 }
 
 /// [`effective_max_len`] for callers that already know the longest
@@ -393,14 +229,14 @@ pub fn effective_max_len_from(params: &MiningParams, longest: usize) -> usize {
 /// marked fresh. Before this function existed the two modes carried
 /// duplicate copies of that tail; now a threshold decision at level 0
 /// cannot differ between them.
-pub(crate) fn init_state<S: NmSource + ?Sized>(
-    source: &S,
+pub(crate) fn init_state(
+    scorer: &Scorer<'_>,
     params: &MiningParams,
     seed: &[MinedPattern],
 ) -> Result<GrowthState, SeedError> {
-    let grid = source.grid();
+    let grid = scorer.grid();
     let mut stats = MiningStats::default();
-    let degraded_base = source.degraded_rescores();
+    let degraded_base = scorer.degraded_rescores();
 
     let mut store = Store::default();
     let mut q: FxHashSet<u32> = FxHashSet::default();
@@ -413,7 +249,7 @@ pub(crate) fn init_state<S: NmSource + ?Sized>(
 
     if seed.is_empty() {
         // Initialization: all singular patterns.
-        let singular_nms = source.nm_all_singulars();
+        let singular_nms = scorer.nm_all_singulars();
         stats.nm_evaluations += grid.num_cells() as u64;
         for cell in grid.cells() {
             let nm = singular_nms[cell.index()];
@@ -426,7 +262,7 @@ pub(crate) fn init_state<S: NmSource + ?Sized>(
         }
     } else {
         let num_cells = grid.num_cells() as usize;
-        let max_len = effective_max_len(source, params);
+        let max_len = effective_max_len(scorer, params);
         let mut singulars_seen = 0usize;
         for m in seed {
             if !m.nm.is_finite() {
@@ -467,12 +303,11 @@ pub(crate) fn init_state<S: NmSource + ?Sized>(
     // data (most frequent discretized windows) — their true NMs are valid
     // lower-bound evidence for ω, so pruning stays exact.
     if params.min_len > 1 {
-        let seeds: Vec<Pattern> = source
-            .seed_patterns(params.min_len, params.k)
+        let seeds: Vec<Pattern> = seed_patterns(scorer, params.min_len, params.k)
             .into_iter()
             .filter(|p| store.id_of(p).is_none())
             .collect();
-        let nms = source.score_batch(&seeds);
+        let nms = indexed_score(scorer, &seeds);
         stats.candidates_scored += seeds.len() as u64;
         stats.nm_evaluations += seeds.len() as u64;
         for (p, nm) in seeds.into_iter().zip(nms) {
@@ -481,7 +316,7 @@ pub(crate) fn init_state<S: NmSource + ?Sized>(
             qual_tracker.offer(nm);
         }
     }
-    stats.degraded_shard_rescores += source.degraded_rescores() - degraded_base;
+    stats.degraded_shard_rescores += scorer.degraded_rescores() - degraded_base;
 
     let omega = qual_tracker.omega();
     let high: FxHashSet<u32> = q
@@ -514,14 +349,14 @@ pub(crate) fn init_state<S: NmSource + ?Sized>(
 /// reached, calling `on_level` after every completed level (this is the
 /// checkpoint hook). `state.stats.iterations` counts completed levels, so
 /// resuming a restored state continues exactly where it stopped.
-pub(crate) fn run_growth<S: NmSource + ?Sized, E>(
-    source: &S,
+pub(crate) fn run_growth<E>(
+    scorer: &Scorer<'_>,
     params: &MiningParams,
     state: &mut GrowthState,
     mut on_level: impl FnMut(&GrowthState) -> Result<(), E>,
 ) -> Result<(), E> {
     while !state.converged && state.stats.iterations < params.max_iters {
-        grow_level(source, params, state);
+        grow_level(scorer, params, state);
         on_level(state)?;
     }
     Ok(())
@@ -529,13 +364,9 @@ pub(crate) fn run_growth<S: NmSource + ?Sized, E>(
 
 /// One growing level: enumerate new pairs, bound-prune, batch-score,
 /// re-threshold, re-mark, and prune Q.
-pub(crate) fn grow_level<S: NmSource + ?Sized>(
-    source: &S,
-    params: &MiningParams,
-    state: &mut GrowthState,
-) {
-    let max_len = effective_max_len(source, params);
-    let degraded_base = source.degraded_rescores();
+pub(crate) fn grow_level(scorer: &Scorer<'_>, params: &MiningParams, state: &mut GrowthState) {
+    let max_len = effective_max_len(scorer, params);
+    let degraded_base = scorer.degraded_rescores();
     state.stats.iterations += 1;
 
     let fresh_vec: Vec<u32> = {
@@ -651,7 +482,7 @@ pub(crate) fn grow_level<S: NmSource + ?Sized>(
     // Batch-score everything enqueued this iteration (in enumeration
     // order, so store ids — and therefore the whole run — are
     // identical to one-at-a-time scoring).
-    let nms = source.score_batch(&pending);
+    let nms = indexed_score(scorer, &pending);
     state.stats.candidates_scored += pending.len() as u64;
     state.stats.nm_evaluations += pending.len() as u64;
     for (cand, nm) in pending.into_iter().zip(nms) {
@@ -697,18 +528,18 @@ pub(crate) fn grow_level<S: NmSource + ?Sized>(
     state.converged = high_new == state.high;
     state.high = high_new;
     state.fresh = next_fresh;
-    state.stats.degraded_shard_rescores += source.degraded_rescores() - degraded_base;
+    state.stats.degraded_shard_rescores += scorer.degraded_rescores() - degraded_base;
 }
 
 /// Extracts the final top-k answer (and groups) from a finished — or
 /// deliberately interrupted — growth state.
-pub(crate) fn finish<S: NmSource + ?Sized>(
-    source: &S,
+pub(crate) fn finish(
+    scorer: &Scorer<'_>,
     params: &MiningParams,
     mut state: GrowthState,
 ) -> MiningOutcome {
     state.stats.final_queue_size = state.q.len();
-    state.stats.nm_evaluations = source.evaluations().max(state.stats.nm_evaluations);
+    state.stats.nm_evaluations = scorer.evaluations().max(state.stats.nm_evaluations);
     let store = &state.store;
 
     // Final answer: best k qualifying patterns over everything scored.
@@ -729,7 +560,7 @@ pub(crate) fn finish<S: NmSource + ?Sized>(
         .collect();
 
     let groups = match params.gamma {
-        Some(gamma) => discover_groups(&qualifying, source.grid(), gamma),
+        Some(gamma) => discover_groups(&qualifying, scorer.grid(), gamma),
         None => Vec::new(),
     };
 
@@ -737,7 +568,7 @@ pub(crate) fn finish<S: NmSource + ?Sized>(
         patterns: qualifying,
         groups,
         stats: state.stats,
-        scorer: source.scorer_stats(),
+        scorer: scorer.stats(),
     }
 }
 
@@ -791,7 +622,7 @@ pub(crate) fn tau(len: usize, omega: f64, nm_best: f64, max_len: usize) -> f64 {
 mod tests {
     use super::*;
     use trajdata::{Dataset, SnapshotPoint, Trajectory};
-    use trajgeo::{BBox, Point2};
+    use trajgeo::{BBox, Grid, Point2};
 
     fn sweep_data(n: usize, sigma: f64) -> (Dataset, Grid) {
         let grid = Grid::new(BBox::unit(), 4, 4).unwrap();
@@ -821,28 +652,6 @@ mod tests {
         }
         // Unset omega disables the threshold.
         assert_eq!(tau(3, f64::NEG_INFINITY, best, 8), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn seeded_source_answers_from_the_memo() {
-        let (data, grid) = sweep_data(4, 0.05);
-        let params = MiningParams::new(3, 0.1).unwrap();
-        let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
-        let p0 = Pattern::singular(trajgeo::CellId(8));
-        let p1 = Pattern::singular(trajgeo::CellId(9));
-        let memo_value = -123.456;
-        let seed = vec![MinedPattern::new(p0.clone(), memo_value)];
-        let source = SeededSource::new(&scorer, &seed);
-        let evals_before = NmSource::evaluations(&source);
-        let out = source.score_batch(&[p0.clone(), p1.clone()]);
-        // The memoized pattern comes back verbatim; the miss is scored
-        // against the data (and counted), in order.
-        assert_eq!(out[0].to_bits(), memo_value.to_bits());
-        assert_eq!(
-            out[1].to_bits(),
-            Scorer::score_batch(&scorer, std::slice::from_ref(&p1))[0].to_bits()
-        );
-        assert_eq!(NmSource::evaluations(&source) - evals_before, 2);
     }
 
     #[test]

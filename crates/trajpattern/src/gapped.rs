@@ -14,15 +14,13 @@
 //! **not** count toward the normalization length — otherwise padding any
 //! pattern with '*'s would raise its NM for free.
 //!
-//! NM with flexible gaps is computed by dynamic programming over each
-//! trajectory in `O(L · m · max_gap)`.
+//! NM with flexible gaps is computed by [`Scorer::nm_gapped`], a dynamic
+//! program over each trajectory's corridor tables in `O(L · m · max_gap)`.
 
 use crate::pattern::{MinedPattern, Pattern};
 use crate::scorer::Scorer;
 use std::fmt;
-use trajdata::Dataset;
-use trajgeo::stats::prob_within_delta;
-use trajgeo::{CellId, Grid};
+use trajgeo::CellId;
 
 /// A pattern with gap constraints between consecutive positions.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -87,17 +85,6 @@ impl GappedPattern {
         }
     }
 
-    /// Joins two contiguous patterns with a fixed run of `g` wildcards in
-    /// between.
-    pub fn join_with_gap(a: &Pattern, b: &Pattern, g: u8) -> GappedPattern {
-        let mut positions = a.cells().to_vec();
-        positions.extend_from_slice(b.cells());
-        let mut gaps = vec![(0, 0); a.len() - 1];
-        gaps.push((g, g));
-        gaps.extend(vec![(0, 0); b.len() - 1]);
-        GappedPattern { positions, gaps }
-    }
-
     /// Number of *specified* positions (the normalization length `m`).
     pub fn num_positions(&self) -> usize {
         self.positions.len()
@@ -116,59 +103,6 @@ impl GappedPattern {
     /// Minimum number of snapshots the pattern spans.
     pub fn min_span(&self) -> usize {
         self.positions.len() + self.gaps.iter().map(|&(lo, _)| lo as usize).sum::<usize>()
-    }
-
-    /// `NM(P)` over `data`: for each trajectory, the best gap-respecting
-    /// alignment of all positions (DP), normalized by the number of
-    /// specified positions; floor for trajectories the pattern cannot fit.
-    pub fn nm(&self, data: &Dataset, grid: &Grid, delta: f64, min_prob: f64) -> f64 {
-        let floor_log = min_prob.ln();
-        let centers: Vec<_> = self.positions.iter().map(|&c| grid.center(c)).collect();
-        let m = self.positions.len();
-        let mut total = 0.0;
-        for traj in data.iter() {
-            let l = traj.len();
-            if l < self.min_span() {
-                total += floor_log;
-                continue;
-            }
-            // dp[j] = best log-prob sum with the current position aligned
-            // at snapshot j.
-            let mut dp = vec![f64::NEG_INFINITY; l];
-            for (j, sp) in traj.points().iter().enumerate() {
-                dp[j] = prob_within_delta(sp.mean, sp.sigma, centers[0], delta)
-                    .max(min_prob)
-                    .ln();
-            }
-            for (i, center) in centers.iter().enumerate().skip(1) {
-                let (lo, hi) = self.gaps[i - 1];
-                let mut next = vec![f64::NEG_INFINITY; l];
-                for (j, sp) in traj.points().iter().enumerate() {
-                    // Previous position at j - 1 - g for g in lo..=hi.
-                    let mut best_prev = f64::NEG_INFINITY;
-                    for g in lo..=hi {
-                        let offset = 1 + g as usize;
-                        if j >= offset && dp[j - offset] > best_prev {
-                            best_prev = dp[j - offset];
-                        }
-                    }
-                    if best_prev > f64::NEG_INFINITY {
-                        next[j] = best_prev
-                            + prob_within_delta(sp.mean, sp.sigma, *center, delta)
-                                .max(min_prob)
-                                .ln();
-                    }
-                }
-                dp = next;
-            }
-            let best = dp.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            total += if best.is_finite() {
-                best / m as f64
-            } else {
-                floor_log
-            };
-        }
-        total
     }
 }
 
@@ -244,10 +178,7 @@ pub fn mine_gapped(
                     if !seen.insert(joined.clone()) {
                         continue;
                     }
-                    let mut positions = Vec::new();
-                    let mut gaps = Vec::new();
-                    flatten(&joined, &mut positions, &mut gaps);
-                    let nm = scorer.nm_gapped(&positions, &gaps);
+                    let nm = scorer.nm_gapped(joined.positions(), joined.gaps());
                     pool.push(MinedGappedPattern {
                         pattern: joined,
                         nm,
@@ -273,30 +204,6 @@ pub fn mine_gapped(
     pool
 }
 
-/// End-to-end §5 wildcard mining: runs the shared growing engine
-/// ([`crate::algorithm::mine_with_scorer`]) for the contiguous top-k base,
-/// then grows wildcards with [`mine_gapped`].
-///
-/// With `max_gap == 0` the result is exactly the engine's contiguous top-k
-/// wrapped as [`GappedPattern::contiguous`], bit-for-bit — the gapped
-/// miner is a strict extension of the batch miner, not a parallel
-/// implementation (see the `engine_parity` test).
-pub fn mine_gapped_topk(
-    scorer: &Scorer<'_>,
-    params: &crate::params::MiningParams,
-    max_gap: u8,
-    max_iters: usize,
-) -> Result<Vec<MinedGappedPattern>, crate::params::ParamsError> {
-    let base = crate::algorithm::mine_with_scorer(scorer, params)?;
-    Ok(mine_gapped(
-        scorer,
-        &base.patterns,
-        max_gap,
-        params.k,
-        max_iters,
-    ))
-}
-
 /// Joins two gapped patterns with a fixed run of `g` wildcards between
 /// them.
 fn join_gapped(a: &GappedPattern, b: &GappedPattern, g: u8) -> GappedPattern {
@@ -306,11 +213,6 @@ fn join_gapped(a: &GappedPattern, b: &GappedPattern, g: u8) -> GappedPattern {
     gaps.push((g, g));
     gaps.extend_from_slice(b.gaps());
     GappedPattern::new(positions, gaps).expect("joining valid patterns is valid")
-}
-
-fn flatten(p: &GappedPattern, positions: &mut Vec<CellId>, gaps: &mut Vec<(u8, u8)>) {
-    positions.extend_from_slice(p.positions());
-    gaps.extend_from_slice(p.gaps());
 }
 
 fn sort_dedup_truncate(pool: &mut Vec<MinedGappedPattern>, k: usize) {
@@ -324,55 +226,28 @@ fn sort_dedup_truncate(pool: &mut Vec<MinedGappedPattern>, k: usize) {
     pool.truncate(k);
 }
 
-/// §5 wildcard extension, realized as a one-shot refinement pass: joins
-/// every ordered pair of mined contiguous patterns with `0..=max_gap`
-/// wildcards in between, scores each join by DP, and returns the `k` best
-/// gapped patterns (the inputs themselves compete as 0-gap joins of
-/// themselves — i.e. the contiguous originals are included).
-pub fn refine_with_gaps(
-    mined: &[MinedPattern],
-    data: &Dataset,
-    grid: &Grid,
-    delta: f64,
-    min_prob: f64,
-    max_gap: u8,
-    k: usize,
-) -> Vec<MinedGappedPattern> {
-    let mut out: Vec<MinedGappedPattern> = Vec::new();
-    for m in mined {
-        let gp = GappedPattern::contiguous(&m.pattern);
-        out.push(MinedGappedPattern {
-            pattern: gp,
-            nm: m.nm,
-        });
-    }
-    for a in mined {
-        for b in mined {
-            for g in 1..=max_gap {
-                let gp = GappedPattern::join_with_gap(&a.pattern, &b.pattern, g);
-                let nm = gp.nm(data, grid, delta, min_prob);
-                out.push(MinedGappedPattern { pattern: gp, nm });
-            }
-        }
-    }
-    out.sort_by(|x, y| {
-        y.nm.partial_cmp(&x.nm)
-            .expect("NM values are finite")
-            .then_with(|| x.pattern.positions().cmp(y.pattern.positions()))
-    });
-    out.dedup_by(|a, b| a.pattern == b.pattern);
-    out.truncate(k);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajdata::{SnapshotPoint, Trajectory};
-    use trajgeo::{BBox, Point2};
+    use crate::scorer::Scorer;
+    use trajdata::{Dataset, SnapshotPoint, Trajectory};
+    use trajgeo::{BBox, Grid, Point2};
 
     fn pat(ids: &[u32]) -> Pattern {
         Pattern::new(ids.iter().map(|&i| CellId(i)).collect()).unwrap()
+    }
+
+    /// `a`, then `g` wildcards, then `b`.
+    fn join(a: &[u32], b: &[u32], g: u8) -> GappedPattern {
+        join_gapped(
+            &GappedPattern::contiguous(&pat(a)),
+            &GappedPattern::contiguous(&pat(b)),
+            g,
+        )
+    }
+
+    fn nm(scorer: &Scorer<'_>, gp: &GappedPattern) -> f64 {
+        scorer.nm_gapped(gp.positions(), gp.gaps())
     }
 
     /// 5×1 grid; objects visit cells 0,1,2,3,4 — except the middle snapshot
@@ -402,17 +277,17 @@ mod tests {
 
     #[test]
     fn engine_parity_with_zero_gap() {
-        // mine_gapped_topk with max_gap = 0 is the shared growing engine's
-        // contiguous top-k, bit-for-bit — the gapped miner rides on
-        // mine_with_scorer, it does not re-implement the loop.
+        // mine_gapped with max_gap = 0 over the shared growing engine's
+        // contiguous top-k returns that top-k, bit-for-bit — the gapped
+        // miner extends mine_with_scorer, it does not re-implement the loop.
         let (data, grid) = detour_data();
         let params = crate::params::MiningParams::new(6, 0.4)
             .unwrap()
             .with_max_len(4)
             .unwrap();
-        let scorer = crate::scorer::Scorer::new(&data, &grid, params.delta, params.min_prob);
+        let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
         let base = crate::algorithm::mine_with_scorer(&scorer, &params).unwrap();
-        let gapped = mine_gapped_topk(&scorer, &params, 0, 8).unwrap();
+        let gapped = mine_gapped(&scorer, &base.patterns, 0, params.k, 8);
         assert_eq!(gapped.len(), base.patterns.len());
         for (g, m) in gapped.iter().zip(&base.patterns) {
             assert_eq!(g.pattern, GappedPattern::contiguous(&m.pattern));
@@ -422,15 +297,16 @@ mod tests {
 
     #[test]
     fn gapped_topk_grows_wildcards_over_the_engine_base() {
-        // End-to-end: the one-call entry finds the detour-bridging pattern
-        // that the contiguous engine base cannot express.
+        // End-to-end: wildcard growth over the engine's contiguous base
+        // finds the detour-bridging pattern the base cannot express.
         let (data, grid) = detour_data();
         let params = crate::params::MiningParams::new(4, 0.4)
             .unwrap()
             .with_max_len(4)
             .unwrap();
-        let scorer = crate::scorer::Scorer::new(&data, &grid, params.delta, params.min_prob);
-        let out = mine_gapped_topk(&scorer, &params, 1, 8).unwrap();
+        let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
+        let base = crate::algorithm::mine_with_scorer(&scorer, &params).unwrap();
+        let out = mine_gapped(&scorer, &base.patterns, 1, params.k, 8);
         assert!(!out.is_empty());
         assert!(
             out.iter()
@@ -461,10 +337,9 @@ mod tests {
     fn contiguous_gapped_matches_plain_nm() {
         let (data, grid) = detour_data();
         let p = pat(&[0, 1]);
-        let gp = GappedPattern::contiguous(&p);
-        let scorer = crate::scorer::Scorer::new(&data, &grid, 0.4, 1e-12);
+        let scorer = Scorer::new(&data, &grid, 0.4, 1e-12);
         let plain = scorer.nm(&p);
-        let gapped = gp.nm(&data, &grid, 0.4, 1e-12);
+        let gapped = nm(&scorer, &GappedPattern::contiguous(&p));
         assert!(
             (plain - gapped).abs() < 1e-9,
             "plain {plain} vs gapped {gapped}"
@@ -477,10 +352,9 @@ mod tests {
         // (0,1,2,3,4) is hurt by the detour at snapshot 2; the gapped
         // pattern (0,1,*,3,4) skips it.
         let (data, grid) = detour_data();
-        let contiguous = GappedPattern::contiguous(&pat(&[0, 1, 2, 3, 4]));
-        let skipping = GappedPattern::join_with_gap(&pat(&[0, 1]), &pat(&[3, 4]), 1);
-        let nm_contig = contiguous.nm(&data, &grid, 0.4, 1e-12);
-        let nm_skip = skipping.nm(&data, &grid, 0.4, 1e-12);
+        let scorer = Scorer::new(&data, &grid, 0.4, 1e-12);
+        let nm_contig = nm(&scorer, &GappedPattern::contiguous(&pat(&[0, 1, 2, 3, 4])));
+        let nm_skip = nm(&scorer, &join(&[0, 1], &[3, 4], 1));
         assert!(
             nm_skip > nm_contig,
             "skipping {nm_skip} should beat contiguous {nm_contig}"
@@ -490,17 +364,15 @@ mod tests {
     #[test]
     fn flexible_gap_at_least_as_good_as_any_fixed_gap() {
         let (data, grid) = detour_data();
-        let a = pat(&[0, 1]);
-        let b = pat(&[3, 4]);
+        let scorer = Scorer::new(&data, &grid, 0.4, 1e-12);
         let flexible = GappedPattern::new(
             vec![CellId(0), CellId(1), CellId(3), CellId(4)],
             vec![(0, 0), (0, 2), (0, 0)],
         )
         .unwrap();
-        let nm_flex = flexible.nm(&data, &grid, 0.4, 1e-12);
+        let nm_flex = nm(&scorer, &flexible);
         for g in 0..=2u8 {
-            let fixed = GappedPattern::join_with_gap(&a, &b, g);
-            let nm_fixed = fixed.nm(&data, &grid, 0.4, 1e-12);
+            let nm_fixed = nm(&scorer, &join(&[0, 1], &[3, 4], g));
             assert!(
                 nm_flex >= nm_fixed - 1e-9,
                 "flex {nm_flex} < fixed(g={g}) {nm_fixed}"
@@ -514,33 +386,20 @@ mod tests {
         let data: Dataset = vec![Trajectory::from_exact([Point2::new(0.25, 0.25)])]
             .into_iter()
             .collect();
-        let gp = GappedPattern::join_with_gap(&pat(&[0]), &pat(&[1]), 2);
+        let gp = join(&[0], &[1], 2);
         assert_eq!(gp.min_span(), 4);
-        let nm = gp.nm(&data, &grid, 0.1, 1e-12);
-        assert!((nm - (1e-12f64).ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scorer_gapped_matches_standalone_dp() {
-        let (data, grid) = detour_data();
-        let scorer = crate::scorer::Scorer::new(&data, &grid, 0.4, 1e-12);
-        let gp = GappedPattern::join_with_gap(&pat(&[0, 1]), &pat(&[3, 4]), 1);
-        let standalone = gp.nm(&data, &grid, 0.4, 1e-12);
-        let cached = scorer.nm_gapped(gp.positions(), gp.gaps());
-        assert!(
-            (standalone - cached).abs() < 1e-9,
-            "standalone {standalone} vs cached {cached}"
-        );
+        let score = nm(&Scorer::new(&data, &grid, 0.1, 1e-12), &gp);
+        assert!((score - (1e-12f64).ln()).abs() < 1e-9);
     }
 
     #[test]
     fn mine_gapped_finds_the_detour_bridge() {
         let (data, grid) = detour_data();
-        let scorer = crate::scorer::Scorer::new(&data, &grid, 0.4, 1e-12);
+        let scorer = Scorer::new(&data, &grid, 0.4, 1e-12);
         let base: Vec<MinedPattern> = [&[0u32, 1][..], &[3, 4][..], &[0, 1, 2, 3, 4][..]]
             .iter()
             .map(|ids| {
-                let p = Pattern::new(ids.iter().map(|&i| CellId(i)).collect()).unwrap();
+                let p = pat(ids);
                 let nm = scorer.nm(&p);
                 MinedPattern::new(p, nm)
             })
@@ -562,7 +421,7 @@ mod tests {
     #[test]
     fn mine_gapped_zero_gap_returns_base() {
         let (data, grid) = detour_data();
-        let scorer = crate::scorer::Scorer::new(&data, &grid, 0.4, 1e-12);
+        let scorer = Scorer::new(&data, &grid, 0.4, 1e-12);
         let p = pat(&[0, 1]);
         let base = vec![MinedPattern::new(p.clone(), scorer.nm(&p))];
         let mined = mine_gapped(&scorer, &base, 0, 5, 3);
@@ -571,24 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn refine_returns_sorted_topk_including_originals() {
-        let (data, grid) = detour_data();
-        let scorer = crate::scorer::Scorer::new(&data, &grid, 0.4, 1e-12);
-        let mined = vec![
-            MinedPattern::new(pat(&[0, 1]), scorer.nm(&pat(&[0, 1]))),
-            MinedPattern::new(pat(&[3, 4]), scorer.nm(&pat(&[3, 4]))),
-        ];
-        let refined = refine_with_gaps(&mined, &data, &grid, 0.4, 1e-12, 2, 5);
-        assert_eq!(refined.len(), 5);
-        for w in refined.windows(2) {
-            assert!(w[0].nm >= w[1].nm);
-        }
-    }
-
-    #[test]
     fn display_shows_wildcards() {
-        let gp = GappedPattern::join_with_gap(&pat(&[1]), &pat(&[2]), 2);
-        assert_eq!(gp.to_string(), "(c1, *, *, c2)");
+        assert_eq!(join(&[1], &[2], 2).to_string(), "(c1, *, *, c2)");
         let flex = GappedPattern::new(vec![CellId(1), CellId(2)], vec![(0, 3)]).unwrap();
         assert_eq!(flex.to_string(), "(c1, *{0,3}, c2)");
     }

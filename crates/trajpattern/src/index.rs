@@ -15,8 +15,8 @@
 //! position probability is clamped to the floor and the pattern's score
 //! is a closed-form function of the pattern and trajectory lengths. False
 //! positives merely get scored normally. Either way the result is
-//! bit-identical to an unindexed run, which is what lets the engine's
-//! `NmSource` impls and the server's `/v1` routes consult the index
+//! bit-identical to an unindexed run, which is what lets the growth
+//! engine and the server's `/v1` routes consult the index
 //! unconditionally.
 
 use crate::pattern::Pattern;

@@ -32,9 +32,9 @@
 //! available through [`MiningParams`] and [`gapped`].
 //!
 //! Batch mining and the ledger-seeded re-growth behind the streaming
-//! repair path ([`mine_seeded`]) drive the *same* growing loop, housed in
-//! [`engine`] and parameterized over an NM oracle ([`NmSource`]) — so
-//! pruning-decision parity across the stack holds by construction.
+//! repair path ([`mine_seeded`]) drive the *same* growing loop over the
+//! same [`Scorer`], housed in [`engine`] — so pruning-decision parity
+//! across the stack holds by construction.
 //!
 //! # Quick example
 //!
@@ -80,7 +80,6 @@ pub mod topk;
 
 pub use algorithm::{effective_max_len_from, MiningOutcome, MiningStats};
 pub use checkpoint::{CheckpointError, FingerprintKind};
-pub use engine::{NmSource, SeededSource};
 pub use groups::PatternGroup;
 pub use index::PatternIndex;
 pub use miner::{Error, Miner};

@@ -146,7 +146,7 @@ impl<'a> ScorerCore<'a> {
 
     /// Per-trajectory contributions of every pattern in `batch` over one
     /// shard, in (pattern, ascending local trajectory) order.
-    fn score_shard(&self, shard: &mut Shard, batch: &[Pattern], kind: BatchKind) -> Vec<Vec<f64>> {
+    fn score_shard(&self, shard: &mut Shard, batch: &[Pattern], kind: Measure) -> Vec<Vec<f64>> {
         self.build_shard(shard);
         let shard: &Shard = shard;
         let locals = shard.end - shard.start;
@@ -158,10 +158,10 @@ impl<'a> ScorerCore<'a> {
             for local in 0..locals {
                 let mean = self.window_mean(shard, local, pattern.cells(), &mut buf);
                 contributions.push(match kind {
-                    BatchKind::Nm => mean,
+                    Measure::Nm => mean,
                     // best window *sum* (not mean); the match contribution
                     // is its exp.
-                    BatchKind::Match => (mean * m as f64).exp(),
+                    Measure::Match => (mean * m as f64).exp(),
                 });
             }
             out.push(contributions);
@@ -195,16 +195,6 @@ impl<'a> ScorerCore<'a> {
         }
         updates
     }
-}
-
-/// Which measure a batch computes.
-#[derive(Debug, Clone, Copy)]
-enum BatchKind {
-    /// Normalized match: mean log probability of the best window (Eq. 3+4).
-    Nm,
-    /// The match measure of Yang et al. \[14\]: expected best-window
-    /// occurrence count.
-    Match,
 }
 
 /// Which measure a [`ScoreRequest`] computes.
@@ -407,7 +397,7 @@ impl<'a> Scorer<'a> {
     /// build per shard (amortized across batches); shards are scored on
     /// scoped worker threads when the scorer was built with more than one.
     pub fn score_batch(&self, batch: &[Pattern]) -> Vec<f64> {
-        self.run_batch(batch, BatchKind::Nm)
+        self.run_batch(batch, Measure::Nm)
     }
 
     /// The *match* measure of Yang et al. \[14\]: `Σ_T max_window M(P,T')`
@@ -419,10 +409,10 @@ impl<'a> Scorer<'a> {
 
     /// Match measure for every pattern of `batch`, in order.
     pub fn score_batch_match(&self, batch: &[Pattern]) -> Vec<f64> {
-        self.run_batch(batch, BatchKind::Match)
+        self.run_batch(batch, Measure::Match)
     }
 
-    fn run_batch(&self, batch: &[Pattern], kind: BatchKind) -> Vec<f64> {
+    fn run_batch(&self, batch: &[Pattern], kind: Measure) -> Vec<f64> {
         self.evaluations
             .set(self.evaluations.get() + batch.len() as u64);
         if batch.is_empty() {
@@ -500,7 +490,7 @@ impl<'a> Scorer<'a> {
     fn run_indexed(
         &self,
         batch: &[Pattern],
-        kind: BatchKind,
+        kind: Measure,
         index: &crate::index::PatternIndex,
     ) -> Vec<f64> {
         let near_mask = index.candidates(self.core.data, self.core.delta);
@@ -547,34 +537,13 @@ impl<'a> Scorer<'a> {
             .collect()
     }
 
-    /// `NM(P, T)` for a single trajectory (Eq. 4); the floor value if the
-    /// trajectory is shorter than the pattern.
-    pub fn nm_in_trajectory(&self, pattern: &Pattern, traj_index: usize) -> f64 {
-        assert!(
-            traj_index < self.core.data.len(),
-            "trajectory index out of range"
-        );
-        self.touched
-            .borrow_mut()
-            .extend(pattern.cells().iter().copied());
-        let mut shards = self.shards.borrow_mut();
-        let shard = shards
-            .iter_mut()
-            .find(|s| s.start <= traj_index && traj_index < s.end)
-            .expect("shards cover every trajectory");
-        self.core.build_shard(shard);
-        let shard: &Shard = shard;
-        let mut buf: Vec<&[f64]> = Vec::new();
-        self.core
-            .window_mean(shard, traj_index - shard.start, pattern.cells(), &mut buf)
-    }
-
     /// `NM(P, T_i)` for every trajectory, in ascending trajectory order —
     /// the contribution-ledger hook used by the streaming layer
     /// (`trajstream`). Folding the returned values in order with `total +=
     /// c` reproduces [`Scorer::nm`] bit-for-bit (the reduction convention
-    /// of DESIGN.md §5), and each value equals
-    /// [`Scorer::nm_in_trajectory`] for that index.
+    /// of DESIGN.md §5), and each value equals, bit for bit, the NM a
+    /// scorer built over that trajectory alone computes, with or without
+    /// a [`PatternIndex`](crate::index::PatternIndex).
     pub fn nm_contributions(&self, pattern: &Pattern) -> Vec<f64> {
         self.evaluations.set(self.evaluations.get() + 1);
         self.touched
@@ -771,16 +740,12 @@ impl<'q, 'a> ScoreRequest<'q, 'a> {
 
     /// Executes the request, returning one score per batch pattern.
     pub fn run(self) -> Vec<f64> {
-        let kind = match self.measure {
-            Measure::Nm => BatchKind::Nm,
-            Measure::Match => BatchKind::Match,
-        };
         match self.index {
             // A misaligned index cannot be trusted; score unindexed.
             Some(index) if index.len() == self.batch.len() && !self.batch.is_empty() => {
-                self.scorer.run_indexed(self.batch, kind, index)
+                self.scorer.run_indexed(self.batch, self.measure, index)
             }
-            _ => self.scorer.run_batch(self.batch, kind),
+            _ => self.scorer.run_batch(self.batch, self.measure),
         }
     }
 }
@@ -841,13 +806,13 @@ fn untouched_window_mean(m: usize, l: usize, floor_log: f64) -> f64 {
 /// trajectory the untouched window value, reduced in ascending trajectory
 /// order — addition for addition what the dense path computes, so the
 /// index-pruned path stays bit-identical.
-fn far_fold(m: usize, lens: &[usize], kind: BatchKind, floor_log: f64) -> f64 {
+fn far_fold(m: usize, lens: &[usize], kind: Measure, floor_log: f64) -> f64 {
     let mut total = 0.0;
     for &l in lens {
         let mean = untouched_window_mean(m, l, floor_log);
         total += match kind {
-            BatchKind::Nm => mean,
-            BatchKind::Match => (mean * m as f64).exp(),
+            Measure::Nm => mean,
+            Measure::Match => (mean * m as f64).exp(),
         };
     }
     total
@@ -941,8 +906,6 @@ mod tests {
         let s = Scorer::new(&data, &grid, 0.1, 1e-12);
         let p = pat(&[9, 10]);
         let nm = s.nm(&p);
-        // Compare against manual window enumeration via nm_in_trajectory.
-        assert!((s.nm_in_trajectory(&p, 0) - nm).abs() < 1e-12);
         // The best window should be nearly perfect: cells 9,10 sit exactly
         // under snapshots 1,2, and ±0.1 around a cell center with σ=0.02
         // captures almost all mass.
@@ -1035,24 +998,27 @@ mod tests {
     }
 
     #[test]
-    fn nm_in_trajectory_bounds_nm() {
-        // NM(P) = Σ_T NM(P,T): verify the identity.
-        let (data, grid) = setup(3, 0.06);
-        let s = Scorer::new(&data, &grid, 0.1, 1e-12);
-        let p = pat(&[8, 9, 10]);
-        let total: f64 = (0..data.len()).map(|i| s.nm_in_trajectory(&p, i)).sum();
-        assert!((total - s.nm(&p)).abs() < 1e-9);
-    }
-
-    #[test]
     fn nm_contributions_fold_to_nm() {
         let (data, grid) = setup(24, 0.06);
         let s = Scorer::new(&data, &grid, 0.1, 1e-12);
         let p = pat(&[8, 9, 10]);
         let contribs = s.nm_contributions(&p);
         assert_eq!(contribs.len(), data.len());
-        for (i, &c) in contribs.iter().enumerate() {
-            assert_eq!(c.to_bits(), s.nm_in_trajectory(&p, i).to_bits());
+        // Each contribution is what a scorer over that trajectory alone
+        // computes, indexed or not — the stream ledger appends such
+        // single-trajectory scores to rows built here.
+        for q in [p.clone(), pat(&[0, 1])] {
+            let batch = std::slice::from_ref(&q);
+            let index = PatternIndex::build(batch, &grid);
+            for (i, &c) in s.nm_contributions(&q).iter().enumerate() {
+                let alone: Dataset = std::iter::once(data.trajectories()[i].clone()).collect();
+                let one = Scorer::new(&alone, &grid, 0.1, 1e-12);
+                assert_eq!(c.to_bits(), one.query(batch).run()[0].to_bits());
+                assert_eq!(
+                    c.to_bits(),
+                    one.query(batch).with_index(&index).run()[0].to_bits()
+                );
+            }
         }
         let mut total = 0.0;
         for &c in &contribs {

@@ -42,13 +42,11 @@
 //! the batch miner never generates them (they only ever score the floor
 //! and could otherwise steal tie-broken top-k slots).
 //!
-//! Since the refactor onto [`crate::engine`], batch and seeded growth are
-//! not merely *provably* aligned — they are the same code: one
-//! `init_state`, one `grow_level`, one `finish`. The seeded entry differs
-//! only in passing a non-empty seed and wrapping the scorer in a
-//! [`SeededSource`].
+//! Batch and seeded growth are not merely *provably* aligned — they are
+//! the same code: one `init_state`, one `grow_level`, one `finish`. The
+//! seeded entry differs only in passing a non-empty seed.
 
-use crate::engine::{empty_outcome, finish, init_state, run_growth, tau, SeededSource};
+use crate::engine::{empty_outcome, finish, init_state, run_growth, tau};
 use crate::groups::discover_groups;
 use crate::minmax::weighted_mean_bound;
 use crate::params::MiningParams;
@@ -58,7 +56,7 @@ use crate::MiningOutcome;
 use trajgeo::fxhash::FxHashSet;
 use trajgeo::{CellId, Grid};
 
-pub use crate::engine::{NmSource, SeedError};
+pub use crate::engine::SeedError;
 
 /// The result of a seeded re-growth run.
 #[derive(Debug, Clone)]
@@ -110,16 +108,15 @@ pub fn mine_seeded(
         });
     }
 
-    let source = SeededSource::new(scorer, seed);
-    let evals_before = NmSource::evaluations(&source);
-    let mut state = init_state(&source, params, seed)?;
+    let evals_before = scorer.evaluations();
+    let mut state = init_state(scorer, params, seed)?;
     let levels_before = state.stats.iterations;
-    match run_growth::<_, std::convert::Infallible>(&source, params, &mut state, |_| Ok(())) {
+    match run_growth::<std::convert::Infallible>(scorer, params, &mut state, |_| Ok(())) {
         Ok(()) => {}
         Err(e) => match e {},
     }
     let levels = state.stats.iterations - levels_before;
-    let newly_scored = NmSource::evaluations(&source) - evals_before;
+    let newly_scored = scorer.evaluations() - evals_before;
 
     let store: Vec<MinedPattern> = (0..state.store.count() as u32)
         .map(|id| MinedPattern::new(state.store.get(id).clone(), state.store.nm(id)))
@@ -131,7 +128,7 @@ pub fn mine_seeded(
         .map(|id| MinedPattern::new(state.store.get(id).clone(), state.store.nm(id)))
         .collect();
 
-    let outcome = finish(&source, params, state);
+    let outcome = finish(scorer, params, state);
     Ok(SeededOutcome {
         outcome,
         store,

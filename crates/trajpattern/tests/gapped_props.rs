@@ -1,12 +1,13 @@
-//! Property tests for the §5 gapped-pattern dynamic program: the DP must
-//! agree with brute-force alignment enumeration, and fixed-gap patterns
-//! must agree with explicitly padded scoring.
+//! Property tests for the §5 gapped-pattern dynamic program
+//! ([`Scorer::nm_gapped`]): the DP must agree with brute-force alignment
+//! enumeration, and widening a gap must never lower the NM.
 
 use proptest::prelude::*;
 use trajdata::{Dataset, SnapshotPoint, Trajectory};
 use trajgeo::stats::prob_within_delta;
 use trajgeo::{BBox, CellId, Grid, Point2};
 use trajpattern::gapped::GappedPattern;
+use trajpattern::Scorer;
 
 const DELTA: f64 = 0.1;
 const MIN_PROB: f64 = 1e-12;
@@ -29,6 +30,10 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
             })
             .collect()
     })
+}
+
+fn dp_nm(gp: &GappedPattern, data: &Dataset, grid: &Grid) -> f64 {
+    Scorer::new(data, grid, DELTA, MIN_PROB).nm_gapped(gp.positions(), gp.gaps())
 }
 
 /// Brute-force NM of a gapped pattern: enumerate every admissible
@@ -109,7 +114,7 @@ proptest! {
             cells.into_iter().map(CellId).collect(),
             gaps,
         ).unwrap();
-        let dp = gp.nm(&data, &grid, DELTA, MIN_PROB);
+        let dp = dp_nm(&gp, &data, &grid);
         let brute = brute_force_nm(&gp, &data, &grid);
         prop_assert!((dp - brute).abs() < 1e-9,
             "DP {dp} != brute {brute} for {gp}");
@@ -127,8 +132,8 @@ proptest! {
             vec![CellId(a), CellId(b)], vec![(lo, lo)]).unwrap();
         let wide = GappedPattern::new(
             vec![CellId(a), CellId(b)], vec![(0, lo + 2)]).unwrap();
-        let nm_narrow = narrow.nm(&data, &grid, DELTA, MIN_PROB);
-        let nm_wide = wide.nm(&data, &grid, DELTA, MIN_PROB);
+        let nm_narrow = dp_nm(&narrow, &data, &grid);
+        let nm_wide = dp_nm(&wide, &data, &grid);
         prop_assert!(nm_wide >= nm_narrow - 1e-9,
             "widening the gap lowered NM: {nm_wide} < {nm_narrow}");
     }

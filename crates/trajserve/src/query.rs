@@ -6,12 +6,13 @@
 //! ```json
 //! {
 //!   "trajectories": [ ... ],
-//!   "options": { "measure": "nm", "use_index": true, "patterns": [0, 2] }
+//!   "options": { "measure": "nm", "patterns": [0, 2] }
 //! }
 //! ```
 //!
 //! Because `options` is optional, every plain dataset JSON is also a
-//! valid `/v1` body.
+//! valid `/v1` body. Unknown option names are ignored, so bodies written
+//! for an older schema keep parsing.
 //!
 //! Responses share the `trajserve-query/v1` envelope: a `schema` tag, the
 //! `query` kind, and route-specific fields appended in a fixed order by
@@ -32,9 +33,6 @@ pub struct QueryOptions {
     /// Scoring measure: `"nm"` (default, the paper's normalized match)
     /// or `"match"` (raw window match probability).
     pub measure: Option<String>,
-    /// Whether the pattern spatial index may prune far patterns
-    /// (default `true`; scores are bit-identical either way).
-    pub use_index: Option<bool>,
     /// Restrict scoring to these snapshot pattern indices (default: all).
     pub patterns: Option<Vec<usize>>,
 }
@@ -49,11 +47,6 @@ impl QueryOptions {
                 "unknown measure '{other}' (expected 'nm' or 'match')"
             )),
         }
-    }
-
-    /// Whether index pruning is enabled (defaults to on).
-    pub fn use_index(&self) -> bool {
-        self.use_index.unwrap_or(true)
     }
 }
 
@@ -74,24 +67,15 @@ impl QueryRequest {
         serde_json::from_str(text).map_err(|e| Response::error(400, &format!("bad query: {e}")))
     }
 
-    /// The posted trajectories as a [`Dataset`], drained through the
-    /// feed spine's in-memory source — the same path every other ingest
-    /// takes, so posted bodies and replayed logs cannot diverge.
+    /// The posted trajectories as a [`Dataset`].
     pub fn dataset(&self) -> Dataset {
-        let data: Dataset = self.trajectories.iter().cloned().collect();
-        let mut feed = trajfeed::StaticFeed::from_dataset(data);
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        trajfeed::drain(&mut feed, &stop)
-            .expect("static feeds cannot fail")
-            .into_iter()
-            .collect()
+        self.trajectories.iter().cloned().collect()
     }
 
     /// The options block, defaulted when absent.
     pub fn options(&self) -> QueryOptions {
         QueryOptions {
             measure: self.options.as_ref().and_then(|o| o.measure.clone()),
-            use_index: self.options.as_ref().and_then(|o| o.use_index),
             patterns: self.options.as_ref().and_then(|o| o.patterns.clone()),
         }
     }
@@ -101,22 +85,11 @@ impl QueryRequest {
 /// `/v1/pnn`, `/v1/matchlive`).
 #[derive(Debug, Default, serde::Deserialize)]
 pub struct ObjectQueryOptions {
-    /// Whether the σ-expanded-bbox object index may prune provably
-    /// below-τ candidates (default `true`; results are bit-identical
-    /// either way).
-    pub use_index: Option<bool>,
     /// §3.1 uncertainty growth per unit of elapsed time since the last
     /// snapshot (default 0). Only honored when the request posts its own
     /// trajectories — a live window's query set is built (and indexed)
     /// with the fleet's growth rate, so per-request overrides are a 400.
     pub growth_rate: Option<f64>,
-}
-
-impl ObjectQueryOptions {
-    /// Whether index pruning is enabled (defaults to on).
-    pub fn use_index(&self) -> bool {
-        self.use_index.unwrap_or(true)
-    }
 }
 
 /// A parsed object-query body: the probabilistic query parameters, plus
@@ -126,7 +99,7 @@ impl ObjectQueryOptions {
 /// {
 ///   "p": [0.5, 0.5], "delta": 0.1, "t": 1.5, "tau": 0.5, "k": 4,
 ///   "trajectories": [ ... ],
-///   "options": { "use_index": true, "growth_rate": 0.0 }
+///   "options": { "growth_rate": 0.0 }
 /// }
 /// ```
 ///
@@ -181,7 +154,6 @@ impl ObjectQueryRequest {
     /// The options block, defaulted when absent.
     pub fn options(&self) -> ObjectQueryOptions {
         ObjectQueryOptions {
-            use_index: self.options.as_ref().and_then(|o| o.use_index),
             growth_rate: self.options.as_ref().and_then(|o| o.growth_rate),
         }
     }
@@ -240,12 +212,12 @@ mod tests {
         assert!(q.options.is_none());
         let opts = q.options();
         assert!(matches!(opts.measure().unwrap(), Measure::Nm));
-        assert!(opts.use_index());
         assert!(opts.patterns.is_none());
     }
 
     #[test]
     fn options_round_trip() {
+        // An option this schema no longer has must not break parsing.
         let body = br#"{
             "trajectories": [],
             "options": {"measure": "match", "use_index": false, "patterns": [1, 3]}
@@ -253,7 +225,6 @@ mod tests {
         let q = QueryRequest::parse(body).expect("parses");
         let opts = q.options();
         assert!(matches!(opts.measure().unwrap(), Measure::Match));
-        assert!(!opts.use_index());
         assert_eq!(opts.patterns.as_deref(), Some(&[1usize, 3][..]));
     }
 

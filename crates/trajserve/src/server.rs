@@ -634,22 +634,18 @@ fn query_error(e: trajquery::QueryError) -> Response {
     Response::error(400, &e.to_string())
 }
 
-/// Runs `prange` (or `pnn`, when `k` is set) on one query set, honoring
-/// the `use_index` knob — results are bit-identical either way.
+/// Runs `prange` (or `pnn`, when `k` is set) on one query set.
 fn run_range_query(
     set: &QuerySet,
-    use_index: bool,
     p: trajgeo::Point2,
     delta: f64,
     t: f64,
     tau: f64,
     k: Option<usize>,
 ) -> Result<Vec<trajquery::RangeMatch>, Response> {
-    match (k, use_index) {
-        (None, true) => set.prange(p, delta, t, tau),
-        (None, false) => set.prange_bruteforce(p, delta, t, tau),
-        (Some(k), true) => set.pnn(p, t, k, tau, delta),
-        (Some(k), false) => set.pnn_bruteforce(p, t, k, tau, delta),
+    match k {
+        None => set.prange(p, delta, t, tau),
+        Some(k) => set.pnn(p, t, k, tau, delta),
     }
     .map_err(query_error)
 }
@@ -701,44 +697,39 @@ fn range_route(state: &ServeState, req: &Request, kind: &str) -> Response {
         None if kind == "pnn" => state.loaded().snapshot.params.delta,
         None => return Response::error(400, "prange needs \"delta\" (range radius)"),
     };
-    let use_index = query.options().use_index();
     match resolve_query_target(state, req, &query) {
         Err(resp) => resp,
-        Ok(QueryTarget::Static(set)) => {
-            match run_range_query(&set, use_index, p, delta, t, tau, k) {
-                Err(resp) => resp,
-                Ok(matches) => {
-                    let mut resp =
-                        QueryResponse::new(kind).field("objects", serde_json::json!(set.len()));
-                    if let Some(k) = k {
-                        resp = resp.field("k", serde_json::json!(k));
-                    }
-                    resp.field("matches", range_matches_value(&matches))
-                        .into_response()
+        Ok(QueryTarget::Static(set)) => match run_range_query(&set, p, delta, t, tau, k) {
+            Err(resp) => resp,
+            Ok(matches) => {
+                let mut resp =
+                    QueryResponse::new(kind).field("objects", serde_json::json!(set.len()));
+                if let Some(k) = k {
+                    resp = resp.field("k", serde_json::json!(k));
                 }
+                resp.field("matches", range_matches_value(&matches))
+                    .into_response()
             }
-        }
-        Ok(QueryTarget::Shard(name, set)) => {
-            match run_range_query(&set, use_index, p, delta, t, tau, k) {
-                Err(resp) => resp,
-                Ok(matches) => {
-                    let mut resp = QueryResponse::new(kind)
-                        .field("shard", serde_json::json!(name))
-                        .field("objects", serde_json::json!(set.len()));
-                    if let Some(k) = k {
-                        resp = resp.field("k", serde_json::json!(k));
-                    }
-                    resp.field("matches", range_matches_value(&matches))
-                        .into_response()
+        },
+        Ok(QueryTarget::Shard(name, set)) => match run_range_query(&set, p, delta, t, tau, k) {
+            Err(resp) => resp,
+            Ok(matches) => {
+                let mut resp = QueryResponse::new(kind)
+                    .field("shard", serde_json::json!(name))
+                    .field("objects", serde_json::json!(set.len()));
+                if let Some(k) = k {
+                    resp = resp.field("k", serde_json::json!(k));
                 }
+                resp.field("matches", range_matches_value(&matches))
+                    .into_response()
             }
-        }
+        },
         Ok(QueryTarget::Fanout(windows)) => {
             let mut objects = 0usize;
             let mut per_shard = Vec::with_capacity(windows.len());
             for (name, set) in &windows {
                 objects += set.len();
-                match run_range_query(set, use_index, p, delta, t, tau, k) {
+                match run_range_query(set, p, delta, t, tau, k) {
                     Err(resp) => return resp,
                     Ok(matches) => per_shard.push((name.as_str(), matches)),
                 }
@@ -869,8 +860,9 @@ fn matchlive_route(state: &ServeState, cfg: &ServerConfig, req: &Request) -> Res
 }
 
 /// Scores `batch` over `data` through the [`Scorer::query`] builder —
-/// the one scoring entry point shared by every route. `index` enables
-/// spatial pruning of far patterns; NMs are bit-identical either way.
+/// the one scoring entry point shared by every route. `index`, built over
+/// exactly `batch`, lets far patterns resolve analytically; NMs are
+/// bit-identical to an unindexed run.
 fn score_with(
     state: &ServeState,
     cfg: &ServerConfig,
@@ -878,7 +870,7 @@ fn score_with(
     data: &Dataset,
     batch: &[Pattern],
     measure: trajpattern::Measure,
-    index: Option<&PatternIndex>,
+    index: &PatternIndex,
 ) -> Vec<f64> {
     let snap = &loaded.snapshot;
     let scorer = Scorer::with_threads(
@@ -888,13 +880,24 @@ fn score_with(
         snap.params.min_prob,
         cfg.scorer_threads,
     );
-    let request = scorer.query(batch).measure(measure);
-    let nms = match index {
-        Some(ix) => request.with_index(ix).run(),
-        None => request.run(),
-    };
+    let nms = scorer.query(batch).measure(measure).with_index(index).run();
     accumulate_scorer(state, &scorer, data.len());
     nms
+}
+
+/// The pattern index for a batch from [`select_patterns`]: the
+/// snapshot's own index for the whole snapshot, or one built over the
+/// filtered batch.
+fn batch_index<'l>(
+    loaded: &'l Loaded,
+    batch: &[Pattern],
+    filtered: bool,
+) -> std::borrow::Cow<'l, PatternIndex> {
+    if filtered {
+        std::borrow::Cow::Owned(PatternIndex::build(batch, &loaded.snapshot.grid))
+    } else {
+        std::borrow::Cow::Borrowed(&loaded.index)
+    }
 }
 
 /// Resolves a `/v1` pattern filter into `(snapshot indices, batch)`.
@@ -1007,8 +1010,8 @@ fn predict_value(
 }
 
 /// `POST /v1/score`: scores over the posted trajectories under the
-/// shared query schema — measure, index pruning, and pattern filter all
-/// come from `options`. NMs are bit-identical to the library scorer.
+/// shared query schema — measure and pattern filter come from
+/// `options`. NMs are bit-identical to the library scorer.
 fn v1_score_route(
     state: &ServeState,
     cfg: &ServerConfig,
@@ -1029,16 +1032,8 @@ fn v1_score_route(
         Ok(s) => s,
         Err(resp) => return resp,
     };
-    let subset_index;
-    let index = match (opts.use_index(), opts.patterns.is_some()) {
-        (false, _) => None,
-        (true, false) => Some(&loaded.index),
-        (true, true) => {
-            subset_index = PatternIndex::build(&batch, &loaded.snapshot.grid);
-            Some(&subset_index)
-        }
-    };
-    let nms = score_with(state, cfg, loaded, &data, &batch, measure, index);
+    let index = batch_index(loaded, &batch, opts.patterns.is_some());
+    let nms = score_with(state, cfg, loaded, &data, &batch, measure, &index);
     QueryResponse::new("score")
         .field("trajectories", serde_json::json!(data.len()))
         .field("patterns", serde_json::json!(indices))
@@ -1072,16 +1067,8 @@ fn v1_match_route(
         Ok(s) => s,
         Err(resp) => return resp,
     };
-    let subset_index;
-    let index = match (opts.use_index(), opts.patterns.is_some()) {
-        (false, _) => None,
-        (true, false) => Some(&loaded.index),
-        (true, true) => {
-            subset_index = PatternIndex::build(&batch, &loaded.snapshot.grid);
-            Some(&subset_index)
-        }
-    };
-    let nms = score_with(state, cfg, loaded, &single, &batch, measure, index);
+    let index = batch_index(loaded, &batch, opts.patterns.is_some());
+    let nms = score_with(state, cfg, loaded, &single, &batch, measure, &index);
     let best = best_match_value(&loaded.snapshot, &indices, &batch, &nms);
     QueryResponse::new("match")
         .field("trajectories", serde_json::json!(1usize))

@@ -237,36 +237,28 @@ fn v1_routes_share_schema_and_agree_with_the_library() {
         assert_eq!(s.to_bits(), d.to_bits());
     }
 
-    // Index correctness: disabling index pruning must return the
-    // byte-identical response body.
+    // /v1/match scores the first posted trajectory; its NMs are
+    // bit-identical to the unindexed library scorer over that trajectory.
+    let (status, matched) = request(addr, "POST", "/v1/match", Some(&query.to_json()), &[]);
+    assert_eq!(status, 200);
+    let m: serde_json::Value = serde_json::from_str(&matched).unwrap();
+    assert_eq!(m["query"].as_str().unwrap(), "match");
+    assert!(m["best"]["nm"].as_f64().unwrap().is_finite());
+    let first: Dataset = query.iter().take(1).cloned().collect();
+    let direct = Scorer::new(&first, &reference_grid, delta, min_prob)
+        .query(&reference_patterns)
+        .run();
+    let match_nms = m["nms"].as_array().unwrap();
+    assert_eq!(match_nms.len(), direct.len());
+    for (s, d) in match_nms.iter().zip(&direct) {
+        assert_eq!(s.as_f64().unwrap().to_bits(), d.to_bits());
+    }
+
     let with_options = |options: &str| {
         let v: serde_json::Value = serde_json::from_str(&query.to_json()).unwrap();
         let trajs = serde_json::to_string(&v["trajectories"]).unwrap();
         format!("{{\"trajectories\": {trajs}, \"options\": {options}}}")
     };
-    let (status, unindexed) = request(
-        addr,
-        "POST",
-        "/v1/score",
-        Some(&with_options("{\"use_index\": false}")),
-        &[],
-    );
-    assert_eq!(status, 200);
-    assert_eq!(body, unindexed, "indexed and unindexed bodies must agree");
-    let (status, matched) = request(addr, "POST", "/v1/match", Some(&query.to_json()), &[]);
-    assert_eq!(status, 200);
-    let (status, matched_unindexed) = request(
-        addr,
-        "POST",
-        "/v1/match",
-        Some(&with_options("{\"use_index\": false}")),
-        &[],
-    );
-    assert_eq!(status, 200);
-    assert_eq!(matched, matched_unindexed);
-    let m: serde_json::Value = serde_json::from_str(&matched).unwrap();
-    assert_eq!(m["query"].as_str().unwrap(), "match");
-    assert!(m["best"]["nm"].as_f64().unwrap().is_finite());
 
     // A pattern filter restricts scoring to the named snapshot indices.
     let (status, body) = request(
@@ -341,7 +333,7 @@ fn object_query_routes_answer_statically_and_match_the_library() {
     );
 
     // /v1/prange over posted trajectories is bit-identical to the
-    // library query set.
+    // library's brute-force scan.
     let body = format!(
         r#"{{"p": [{}, {}], "delta": {delta}, "t": {t}, "tau": {tau},
             "trajectories": {trajs}, "options": {{"growth_rate": {growth}}}}}"#,
@@ -353,7 +345,7 @@ fn object_query_routes_answer_statically_and_match_the_library() {
     assert_eq!(doc["schema"].as_str().unwrap(), trajserve::QUERY_SCHEMA);
     assert_eq!(doc["query"].as_str().unwrap(), "prange");
     assert_eq!(doc["objects"].as_u64().unwrap() as usize, data.len());
-    let expect = reference.prange(p, delta, t, tau).unwrap();
+    let expect = reference.prange_bruteforce(p, delta, t, tau).unwrap();
     assert!(!expect.is_empty(), "query must hit for the test to bite");
     let served = doc["matches"].as_array().unwrap();
     assert_eq!(served.len(), expect.len());
@@ -361,20 +353,6 @@ fn object_query_routes_answer_statically_and_match_the_library() {
         assert_eq!(got["id"].as_u64().unwrap(), want.id);
         assert_eq!(got["prob"].as_f64().unwrap().to_bits(), want.prob.to_bits());
     }
-
-    // Disabling the index returns the byte-identical response.
-    let brute = format!(
-        r#"{{"p": [{}, {}], "delta": {delta}, "t": {t}, "tau": {tau},
-            "trajectories": {trajs},
-            "options": {{"growth_rate": {growth}, "use_index": false}}}}"#,
-        p.x, p.y
-    );
-    let (status, brute_resp) = request(addr, "POST", "/v1/prange", Some(&brute), &[]);
-    assert_eq!(status, 200);
-    assert_eq!(
-        resp, brute_resp,
-        "indexed and brute-force bodies must agree"
-    );
 
     // /v1/pnn truncates the same ranking to k.
     let k = 3usize;
@@ -388,7 +366,7 @@ fn object_query_routes_answer_statically_and_match_the_library() {
     let doc: serde_json::Value = serde_json::from_str(&resp).unwrap();
     assert_eq!(doc["query"].as_str().unwrap(), "pnn");
     assert_eq!(doc["k"].as_u64().unwrap() as usize, k);
-    let expect = reference.pnn(p, t, k, tau, delta).unwrap();
+    let expect = reference.pnn_bruteforce(p, t, k, tau, delta).unwrap();
     let served = doc["matches"].as_array().unwrap();
     assert_eq!(served.len(), expect.len());
     for (got, want) in served.iter().zip(&expect) {

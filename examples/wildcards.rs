@@ -8,8 +8,8 @@
 
 use datagen::{observe_directly, PostureConfig};
 use trajgeo::Grid;
-use trajpattern::gapped::{refine_with_gaps, GappedPattern};
-use trajpattern::{Miner, MiningParams};
+use trajpattern::gapped::{mine_gapped, GappedPattern};
+use trajpattern::{Miner, MiningParams, Scorer};
 
 fn main() {
     let cfg = PostureConfig {
@@ -38,7 +38,7 @@ fn main() {
 
     // Contiguous mining first…
     let base = Miner::new(&data, &grid)
-        .params(params)
+        .params(params.clone())
         .mine()
         .expect("mining succeeds");
     println!("\ntop contiguous patterns:");
@@ -46,10 +46,12 @@ fn main() {
         println!("  NM {:>8.2}  {}", m.nm, m.pattern);
     }
 
-    // …then refine with up to 3 wildcards between mined fragments (§5).
-    let refined = refine_with_gaps(&base.patterns, &data, &grid, 0.05, 1e-12, 3, 8);
-    println!("\ntop gapped patterns after wildcard refinement:");
-    for g in &refined {
+    // …then one round of joins with up to 3 wildcards between mined
+    // fragments (§5).
+    let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
+    let gapped = mine_gapped(&scorer, &base.patterns, 3, 8, 1);
+    println!("\ntop gapped patterns after wildcard growth:");
+    for g in &gapped {
         println!("  NM {:>8.2}  {}", g.nm, g.pattern);
     }
 
@@ -70,7 +72,7 @@ fn main() {
         },
     )
     .expect("valid gapped pattern");
-    let nm_flex = flexible.nm(&data, &grid, 0.05, 1e-12);
+    let nm_flex = scorer.nm_gapped(flexible.positions(), flexible.gaps());
     println!(
         "\nflexible-gap join of the top two fragments: NM {:.2}  {}",
         nm_flex, flexible
