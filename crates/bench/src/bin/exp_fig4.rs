@@ -2,13 +2,17 @@
 //! four scalability axes.
 //!
 //! Usage: `cargo run -p bench --release --bin exp_fig4 [--quick] [--axis k|s|l|g]
-//! [--threads N,N,…]`. No `--axis` runs all four panels; `--threads` runs
+//! [--threads N,N,…]`. No `--axis` runs all four panels; `--axis` reruns
+//! one and replaces only that panel's entry in `results/fig4.json` (and
+//! its `.dat`), leaving the other panels as committed. `--threads` runs
 //! the scorer thread-scaling sweep instead (written to `fig4_threads`).
+//! `--quick` prints a reduced sweep and writes no result file.
 
 use bench::fig4::{
     sweep_g, sweep_k, sweep_l, sweep_s, sweep_threads, Fig4Config, SweepResult, ThreadsSweepResult,
 };
 use bench::report::{fmt_secs, row, write_dat, write_json};
+use serde_json::Value;
 
 fn print_sweep(r: &SweepResult) {
     println!(
@@ -129,6 +133,10 @@ fn main() {
         }
         let r = sweep_threads(&cfg, &counts);
         print_threads_sweep(&r);
+        if quick {
+            eprintln!("quick sweep: results/fig4_threads.json left unchanged");
+            return;
+        }
         match write_json("fig4_threads", &r) {
             Ok(path) => eprintln!("wrote {path}"),
             Err(e) => eprintln!("could not write results: {e}"),
@@ -170,19 +178,6 @@ fn main() {
         eprintln!("running fig4 axis {a}…");
         if let Some(r) = run_axis(&a) {
             print_sweep(&r);
-            let rows: Vec<Vec<f64>> = r
-                .points
-                .iter()
-                .map(|p| vec![p.x, p.trajpattern_secs, p.pb_secs])
-                .collect();
-            match write_dat(
-                &format!("fig4{}", panel(&r.axis)),
-                &["x", "trajpattern_secs", "pb_secs"],
-                &rows,
-            ) {
-                Ok(path) => eprintln!("wrote {path}"),
-                Err(e) => eprintln!("could not write dat: {e}"),
-            }
             results.push(r);
         }
     }
@@ -191,8 +186,56 @@ fn main() {
          PB grows super-linearly in k and S and exponentially in G"
     );
 
-    match write_json("fig4", &results) {
+    if quick {
+        eprintln!("quick sweep: results/fig4* left unchanged");
+        return;
+    }
+    for r in &results {
+        let rows: Vec<Vec<f64>> = r
+            .points
+            .iter()
+            .map(|p| vec![p.x, p.trajpattern_secs, p.pb_secs])
+            .collect();
+        match write_dat(
+            &format!("fig4{}", panel(&r.axis)),
+            &["x", "trajpattern_secs", "pb_secs"],
+            &rows,
+        ) {
+            Ok(path) => eprintln!("wrote {path}"),
+            Err(e) => eprintln!("could not write dat: {e}"),
+        }
+    }
+    match merge_panels(&results) {
         Ok(path) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
+}
+
+/// Writes `panels` into `results/fig4.json`, replacing the entry whose
+/// `axis` matches each new panel (appending a panel the file lacks), so a
+/// one-axis run leaves the other panels as they are. A file that exists
+/// but is not a panel array is reported and left alone.
+fn merge_panels(panels: &[SweepResult]) -> std::io::Result<String> {
+    let path = "results/fig4.json";
+    let mut entries = match std::fs::read_to_string(path) {
+        Ok(text) => match serde_json::from_str::<Value>(&text) {
+            Ok(Value::Array(entries)) => entries,
+            _ => {
+                return Err(std::io::Error::other(format!(
+                    "{path} is not an array of panels; not overwriting it"
+                )))
+            }
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    for panel in panels {
+        let value = serde_json::to_value(panel).expect("sweep results serialize");
+        let axis = |e: &Value| e.get("axis").and_then(Value::as_str) == Some(panel.axis.as_str());
+        match entries.iter_mut().find(|e| axis(e)) {
+            Some(slot) => *slot = value,
+            None => entries.push(value),
+        }
+    }
+    write_json("fig4", &entries)
 }

@@ -12,6 +12,7 @@
 use crate::bbox::BBox;
 use crate::point::Point2;
 use std::fmt;
+use std::ops::Range;
 
 /// Identifier of a grid cell: a dense row-major index in `0..grid.num_cells()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -172,10 +173,19 @@ impl Grid {
     /// Center of a cell — the canonical pattern position for that cell.
     pub fn center(&self, id: CellId) -> Point2 {
         let (cx, cy) = self.cell_coords(id);
-        Point2::new(
-            self.bbox.min().x + (cx as f64 + 0.5) * self.gx,
-            self.bbox.min().y + (cy as f64 + 0.5) * self.gy,
-        )
+        Point2::new(self.center_x(cx), self.center_y(cy))
+    }
+
+    /// x coordinate of the centers of column `cx`.
+    #[inline]
+    pub fn center_x(&self, cx: u32) -> f64 {
+        self.bbox.min().x + (cx as f64 + 0.5) * self.gx
+    }
+
+    /// y coordinate of the centers of row `cy`.
+    #[inline]
+    pub fn center_y(&self, cy: u32) -> f64 {
+        self.bbox.min().y + (cy as f64 + 0.5) * self.gy
     }
 
     /// Iterator over every cell id, in row-major order.
@@ -183,13 +193,24 @@ impl Grid {
         (0..self.num_cells()).map(CellId)
     }
 
-    /// Cells whose centers lie within L∞ distance `radius` of point `p`.
+    /// Cells whose centers lie within L∞ distance `radius` of point `p`,
+    /// in row-major order: the rectangle [`Grid::span_within`] returns.
     /// Used for sparse scoring: only cells near a trajectory's snapshot mean
     /// contribute non-floor probability mass.
     pub fn cells_within(&self, p: Point2, radius: f64) -> Vec<CellId> {
-        let mut out = Vec::new();
+        let (cols, rows) = self.span_within(p, radius);
+        rows.flat_map(|cy| cols.clone().map(move |cx| CellId(cy * self.nx + cx)))
+            .collect()
+    }
+
+    /// The columns and rows of the cells whose centers lie within L∞
+    /// distance `radius` of `p`. An L∞ ball bounds each axis separately,
+    /// so those cells are exactly `columns × rows`. Either range is empty
+    /// when no center is that close, the radius is negative or NaN, or `p`
+    /// is not finite.
+    pub fn span_within(&self, p: Point2, radius: f64) -> (Range<u32>, Range<u32>) {
         if radius < 0.0 || radius.is_nan() || !p.is_finite() {
-            return out;
+            return (0..0, 0..0);
         }
         let min = self.locate(Point2::new(p.x - radius, p.y - radius));
         let max = self.locate(Point2::new(p.x + radius, p.y + radius));
@@ -197,16 +218,25 @@ impl Grid {
         let (cx1, cy1) = self.cell_coords(max);
         // Tolerate FP rounding so cells exactly `radius` away are included.
         let r = radius * (1.0 + 1e-9) + 1e-12;
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let id = CellId(cy * self.nx + cx);
-                if self.center(id).linf_distance(p) <= r {
-                    out.push(id);
-                }
-            }
-        }
-        out
+        let cols = trim(cx0..cx1 + 1, |cx| (self.center_x(cx) - p.x).abs() <= r);
+        let rows = trim(cy0..cy1 + 1, |cy| (self.center_y(cy) - p.y).abs() <= r);
+        (cols, rows)
     }
+}
+
+/// Shrinks `span` from both ends to the indices that pass `keep`. Centers
+/// are monotone in their index, so along one axis the centers within a
+/// distance of a point form one contiguous run, and trimming the ends
+/// finds it exactly.
+fn trim(span: Range<u32>, keep: impl Fn(u32) -> bool) -> Range<u32> {
+    let Range { mut start, mut end } = span;
+    while start < end && !keep(start) {
+        start += 1;
+    }
+    while end > start && !keep(end - 1) {
+        end -= 1;
+    }
+    start..end
 }
 
 #[cfg(test)]
@@ -292,6 +322,44 @@ mod tests {
         let p = Point2::new(0.05, 0.05);
         let near = g.cells_within(p, 0.1);
         assert_eq!(near.len(), 4); // 2×2 corner neighbourhood
+    }
+
+    #[test]
+    fn cells_within_is_the_linf_filter() {
+        // Against the per-cell definition, on a non-unit box with an offset
+        // origin, for means inside and outside the box and radii from zero
+        // to past the whole grid.
+        let g = Grid::new(
+            BBox::new(Point2::new(-2.0, 3.0), Point2::new(5.0, 4.5)).unwrap(),
+            9,
+            5,
+        )
+        .unwrap();
+        let points = [
+            Point2::new(-2.0, 3.0),
+            Point2::new(0.61, 3.77),
+            Point2::new(1.5, 3.9),
+            Point2::new(5.0, 4.5),
+            Point2::new(-2.3, 4.0),
+            Point2::new(7.0, 1.0),
+            Point2::new(2.0, 4.65),
+        ];
+        for p in points {
+            for radius in [0.0, 0.2, 0.39, 0.7777, 1.5, 20.0] {
+                let r = radius * (1.0 + 1e-9) + 1e-12;
+                let want: Vec<CellId> = g
+                    .cells()
+                    .filter(|&id| g.center(id).linf_distance(p) <= r)
+                    .collect();
+                assert_eq!(
+                    g.cells_within(p, radius),
+                    want,
+                    "p = {p:?}, radius = {radius}"
+                );
+            }
+        }
+        assert!(g.cells_within(Point2::new(0.0, 3.5), -1.0).is_empty());
+        assert!(g.cells_within(Point2::new(f64::NAN, 3.5), 1.0).is_empty());
     }
 
     #[test]

@@ -6,5 +6,6 @@ pub mod normal;
 
 pub use erf::{erf, erfc};
 pub use normal::{
-    prob_within_delta, sample_std_normal, std_normal_cdf, std_normal_interval, Normal1,
+    prob_within_delta, prob_within_delta_axis, sample_std_normal, std_normal_cdf,
+    std_normal_interval, Normal1,
 };

@@ -85,23 +85,28 @@ impl Normal1 {
 /// distributed as `N(l, σ²·I)` — lies within the square of half-width `δ`
 /// centered at `p`.
 ///
+/// The square factorizes, so this is the product of one
+/// [`prob_within_delta_axis`] factor per axis — the same factors the
+/// scorer's corridor tables compute once per grid column and row.
+///
 /// Degenerate cases: `σ = 0` means the location is known exactly, so the
 /// probability is 1 if `l` is within δ of `p` (L∞) and 0 otherwise;
 /// `δ = 0` has probability 0 for any `σ > 0` (a continuous distribution
 /// assigns no mass to a point).
 pub fn prob_within_delta(l: Point2, sigma: f64, p: Point2, delta: f64) -> f64 {
+    prob_within_delta_axis(l.x, sigma, p.x, delta) * prob_within_delta_axis(l.y, sigma, p.y, delta)
+}
+
+/// One axis of [`prob_within_delta`]: `P(|X − p| < δ)` for
+/// `X ~ N(l, σ²)`. `σ = 0` is the indicator `|l − p| ≤ δ`.
+#[inline]
+pub fn prob_within_delta_axis(l: f64, sigma: f64, p: f64, delta: f64) -> f64 {
     debug_assert!(sigma >= 0.0, "sigma must be non-negative");
     debug_assert!(delta >= 0.0, "delta must be non-negative");
     if sigma <= 0.0 {
-        return if l.linf_distance(p) <= delta {
-            1.0
-        } else {
-            0.0
-        };
+        return if (l - p).abs() <= delta { 1.0 } else { 0.0 };
     }
-    let px = std_normal_interval((p.x - delta - l.x) / sigma, (p.x + delta - l.x) / sigma);
-    let py = std_normal_interval((p.y - delta - l.y) / sigma, (p.y + delta - l.y) / sigma);
-    px * py
+    std_normal_interval((p - delta - l) / sigma, (p + delta - l) / sigma)
 }
 
 /// One draw from the standard normal via Box–Muller.
@@ -182,6 +187,43 @@ mod tests {
         let l = Point2::new(0.2, 0.2);
         assert_eq!(prob_within_delta(l, 0.0, Point2::new(0.25, 0.2), 0.1), 1.0);
         assert_eq!(prob_within_delta(l, 0.0, Point2::new(0.5, 0.2), 0.1), 0.0);
+    }
+
+    #[test]
+    fn prob_within_delta_matches_the_unfactored_kernel() {
+        // The kernel as written before the axis split: an L∞ indicator for
+        // σ = 0, else one interval probability per axis.
+        let unfactored = |l: Point2, sigma: f64, p: Point2, delta: f64| {
+            if sigma <= 0.0 {
+                return if l.linf_distance(p) <= delta {
+                    1.0
+                } else {
+                    0.0
+                };
+            }
+            let px = std_normal_interval((p.x - delta - l.x) / sigma, (p.x + delta - l.x) / sigma);
+            let py = std_normal_interval((p.y - delta - l.y) / sigma, (p.y + delta - l.y) / sigma);
+            px * py
+        };
+        let l = Point2::new(0.31, 0.72);
+        for sigma in [0.0, 1e-6, 0.02, 0.4] {
+            for p in [
+                Point2::new(0.3, 0.7),
+                Point2::new(0.5, 0.72),
+                Point2::new(0.31, 0.9),
+                Point2::new(-3.0, 4.0),
+            ] {
+                for delta in [0.0, 0.05, 0.2] {
+                    let want = unfactored(l, sigma, p, delta);
+                    assert_eq!(
+                        prob_within_delta(l, sigma, p, delta).to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+        }
+        assert_eq!(prob_within_delta_axis(0.2, 0.0, 0.25, 0.05), 1.0);
+        assert_eq!(prob_within_delta_axis(0.2, 0.0, 0.3, 0.05), 0.0);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! candidate enumeration, the same weighted-mean bound, the same τ
 //! pruning — over one dense [`Scorer`].
 //!
-//! Every batch goes through `indexed_score`: large batches get a
-//! [`PatternIndex`](crate::index::PatternIndex) over their bounding boxes
-//! so patterns far from every trajectory resolve analytically —
-//! bit-identical either way, so exactness arguments are untouched.
+//! Every batch is scored with `scorer.query(batch).run()` on the
+//! scorer's corridor tables. No pattern index is consulted: on the
+//! benchmark's mining pool it proved almost no pattern far, so it only
+//! added its build and query cost (DESIGN.md §12).
 //!
 //! Because every caller shares [`grow_level`] *and* [`init_state`], a
 //! pruning decision (bound, τ, 1-extension) can never differ between the
@@ -25,29 +25,11 @@ use crate::params::MiningParams;
 use crate::pattern::{MinedPattern, Pattern};
 use crate::prune::is_one_extension;
 use crate::scorer::Scorer;
-use crate::topk::ThresholdTracker;
+use crate::topk::{select_top_k, ThresholdTracker};
 use std::fmt;
 use trajgeo::fxhash::{FxHashMap, FxHashSet};
 
 pub use crate::algorithm::{MiningOutcome, MiningStats};
-
-/// Below this many patterns, building a spatial index costs more than the
-/// window scans it could skip; such batches score unindexed (the scores
-/// are bit-identical either way, so the cutoff is pure tuning).
-const INDEX_BATCH_THRESHOLD: usize = 32;
-
-/// Scores `batch` through [`Scorer::query`], attaching a
-/// [`crate::index::PatternIndex`] over the batch when it is large enough
-/// to pay for one. This is the one batch-scoring funnel of the growth
-/// loop, so index-pruning behavior cannot diverge between the batch,
-/// seeded, and streaming paths.
-fn indexed_score(scorer: &Scorer<'_>, batch: &[Pattern]) -> Vec<f64> {
-    if batch.len() < INDEX_BATCH_THRESHOLD {
-        return scorer.query(batch).run();
-    }
-    let index = crate::index::PatternIndex::build(batch, scorer.grid());
-    scorer.query(batch).with_index(&index).run()
-}
 
 /// Why a seed set was rejected by [`init_state`] (and therefore by
 /// [`crate::mine_seeded`]).
@@ -307,7 +289,7 @@ pub(crate) fn init_state(
             .into_iter()
             .filter(|p| store.id_of(p).is_none())
             .collect();
-        let nms = indexed_score(scorer, &seeds);
+        let nms = scorer.query(&seeds).run();
         stats.candidates_scored += seeds.len() as u64;
         stats.nm_evaluations += seeds.len() as u64;
         for (p, nm) in seeds.into_iter().zip(nms) {
@@ -482,7 +464,7 @@ pub(crate) fn grow_level(scorer: &Scorer<'_>, params: &MiningParams, state: &mut
     // Batch-score everything enqueued this iteration (in enumeration
     // order, so store ids — and therefore the whole run — are
     // identical to one-at-a-time scoring).
-    let nms = indexed_score(scorer, &pending);
+    let nms = scorer.query(&pending).run();
     state.stats.candidates_scored += pending.len() as u64;
     state.stats.nm_evaluations += pending.len() as u64;
     for (cand, nm) in pending.into_iter().zip(nms) {
@@ -546,14 +528,7 @@ pub(crate) fn finish(
     let mut order: Vec<u32> = (0..store.count() as u32)
         .filter(|&id| store.len(id) as usize >= params.min_len)
         .collect();
-    order.sort_unstable_by(|&a, &b| {
-        store
-            .nm(b)
-            .partial_cmp(&store.nm(a))
-            .expect("NM values are finite")
-            .then_with(|| store.get(a).cmp(store.get(b)))
-    });
-    order.truncate(params.k);
+    select_top_k(&mut order, params.k, |id| store.nm(id), |id| store.get(id));
     let qualifying: Vec<MinedPattern> = order
         .into_iter()
         .map(|id| MinedPattern::new(store.get(id).clone(), store.nm(id)))

@@ -15,9 +15,14 @@
 //! position probability is clamped to the floor and the pattern's score
 //! is a closed-form function of the pattern and trajectory lengths. False
 //! positives merely get scored normally. Either way the result is
-//! bit-identical to an unindexed run, which is what lets the growth
-//! engine and the server's `/v1` routes consult the index
-//! unconditionally.
+//! bit-identical to an unindexed run.
+//!
+//! This is a reference path, not a production one. The growth engine,
+//! the stream ledger and the server's `/v1` routes all score unindexed:
+//! on the measured workloads the index proved almost no pattern far, so
+//! it only added its build and query cost (DESIGN.md §12). It stays
+//! public and exact because the benchmark times it and checks `/v1/score`
+//! answers against it.
 
 use crate::pattern::Pattern;
 use trajdata::Dataset;

@@ -1,40 +1,50 @@
 //! Computing match and normalized match (Eq. 2–4 of the paper).
 //!
 //! Scoring a pattern against the dataset is the dominant cost of mining
-//! (the paper's complexity analysis charges `O(MN)` per pattern). The
-//! [`Scorer`] therefore:
+//! (the paper's complexity analysis charges `O(MN)` per pattern). Every
+//! production scoring call runs on one exact kernel here. The [`Scorer`]:
 //!
 //! - builds, once per trajectory shard, a *corridor table*: for each
 //!   trajectory, the per-snapshot log probabilities
 //!   `ln Prob(l, σ, center(cell), δ)` of exactly the cells that can
 //!   receive above-floor probability. A snapshot only gives non-floor
-//!   probability to cells within `δ + 8σ` of its mean, so one corridor
-//!   pass per trajectory replaces the per-pattern dense row fills older
-//!   revisions did — every probability evaluated once per (cell,
-//!   snapshot), never per pattern;
+//!   probability to cells within `δ + 8σ` of its mean, and that L∞ ball
+//!   is a rectangle of grid columns × rows ([`Grid::span_within`]).
+//!   `Prob` factors into one term per axis, and a cell's center x depends
+//!   only on its column (y only on its row), so each snapshot evaluates
+//!   one factor per column and one per row of its rectangle, and each
+//!   cell's probability is their product — every probability computed
+//!   once per (cell, snapshot), never per pattern;
+//! - reads all `G` singular-pattern NMs off those same tables
+//!   ([`Scorer::nm_all_singulars`]): a singular's best window is its
+//!   row's best entry, so mining's first step and its scoring share one
+//!   corridor pass;
 //! - skips negligible-mass work while scoring: a pattern touching no
 //!   corridor cell of a trajectory contributes a constant depending only
 //!   on the pattern and trajectory lengths, replicated addition by
 //!   addition ([`untouched_window_mean`]) so the result is bit-identical
 //!   to the dense fold;
-//! - computes all `G` singular-pattern NMs in one sparse streaming pass
-//!   ([`Scorer::nm_all_singulars`]) without materializing the `G × ΣL`
-//!   table;
+//! - folds best-window sums row by row ([`best_window_mean_rows`]):
+//!   every window's sum takes the same additions in the same order as a
+//!   window-by-window scan, over contiguous slices;
 //! - scores whole candidate *batches* ([`Scorer::score_batch`]) by
 //!   partitioning trajectories into contiguous shards, evaluating shards on
 //!   scoped worker threads, and reducing the per-trajectory `NM(P, T)`
 //!   contributions in ascending trajectory order — so the result is
 //!   bit-identical to the sequential fold for every thread count (the
-//!   determinism convention in DESIGN.md §5).
+//!   determinism convention in DESIGN.md §5). A single shard folds each
+//!   contribution into its pattern's total as it is scored.
 //!
 //! The one front door for scoring work is [`Scorer::query`], which
-//! returns a [`ScoreRequest`] builder: pick the [`Measure`], optionally
-//! attach a [`PatternIndex`](crate::index::PatternIndex) so patterns
-//! provably far from every trajectory resolve analytically without
-//! touching the tables, then [`ScoreRequest::run`]. The classic entry
-//! points ([`Scorer::score_batch`] and friends) remain as thin wrappers;
-//! CLI, bench, the stream repair path and the server all construct
-//! scoring work through the same builder.
+//! returns a [`ScoreRequest`] builder: pick the [`Measure`], then
+//! [`ScoreRequest::run`]. The classic entry points
+//! ([`Scorer::score_batch`] and friends) remain as thin wrappers; CLI,
+//! bench, the stream ledger and repair paths and the server all construct
+//! scoring work through the same builder. [`ScoreRequest::with_index`]
+//! attaches a [`PatternIndex`](crate::index::PatternIndex) so patterns
+//! provably far from every trajectory resolve analytically; no production
+//! caller uses it (measured slower than the tables alone), and it stays
+//! as an exact reference path for the benchmark.
 //!
 //! Internally the scorer is split into a `Send + Sync` read-only core
 //! ([`ScorerCore`]: dataset/grid/δ) shared by all workers, and per-shard
@@ -49,7 +59,7 @@ use crate::pattern::Pattern;
 use std::cell::{Cell, RefCell};
 use trajdata::{Dataset, SnapshotPoint};
 use trajgeo::fxhash::{FxHashMap, FxHashSet};
-use trajgeo::stats::prob_within_delta;
+use trajgeo::stats::{prob_within_delta, prob_within_delta_axis};
 use trajgeo::{CellId, Grid};
 
 /// Below this many trajectories the parallel path is all overhead; scoring
@@ -69,20 +79,16 @@ struct ScorerCore<'a> {
 }
 
 impl<'a> ScorerCore<'a> {
-    /// `ln(max(Prob(l, σ, center(cell), δ), min_prob))` for one snapshot.
-    #[inline]
-    fn log_prob(&self, sp: &SnapshotPoint, cell: CellId) -> f64 {
-        prob_within_delta(sp.mean, sp.sigma, self.grid.center(cell), self.delta)
-            .max(self.min_prob)
-            .ln()
-    }
-
     /// Builds `shard`'s corridor tables if they are not built yet: per
-    /// local trajectory, a probability row for every cell some snapshot
-    /// reaches within `δ + 8σ`. Row entries the corridor scan does not
-    /// touch are the floor *exactly* (the invariant
-    /// [`Scorer::nm_all_singulars`] is built on), so these sparse rows
-    /// carry bit-identical values to a dense fill.
+    /// local trajectory, a log-probability row for every cell some
+    /// snapshot reaches within `δ + 8σ`. Each entry is
+    /// `ln(max(Prob(l, σ, center(cell), δ), min_prob))`, with `Prob`
+    /// evaluated as the product of its per-axis factors — the same
+    /// product [`prob_within_delta`] computes, so bit for bit the same
+    /// value. Row entries the corridor scan does not touch are the floor
+    /// *exactly* (the invariant [`Scorer::nm_all_singulars`] and the
+    /// untouched-window shortcut rest on), so these sparse rows carry
+    /// bit-identical values to a dense fill.
     fn build_shard(&self, shard: &mut Shard) {
         if shard.built {
             return;
@@ -90,6 +96,8 @@ impl<'a> ScorerCore<'a> {
         let trajs = &self.data.trajectories()[shard.start..shard.end];
         let max_l = trajs.iter().map(|t| t.len()).max().unwrap_or(0);
         shard.floor = vec![self.floor_log; max_l].into_boxed_slice();
+        let nx = self.grid.nx();
+        let (mut fx, mut fy) = (Vec::new(), Vec::new());
         shard.rows = trajs
             .iter()
             .map(|traj| {
@@ -97,13 +105,34 @@ impl<'a> ScorerCore<'a> {
                 let mut rows: FxHashMap<CellId, Box<[f64]>> = FxHashMap::default();
                 for (t, sp) in traj.points().iter().enumerate() {
                     let radius = self.delta + 8.0 * sp.sigma;
-                    for cell in self.grid.cells_within(sp.mean, radius) {
-                        let lp = self.log_prob(sp, cell);
-                        if lp > self.floor_log {
-                            let row = rows
-                                .entry(cell)
-                                .or_insert_with(|| vec![self.floor_log; l].into_boxed_slice());
-                            row[t] = lp;
+                    let (cols, lines) = self.grid.span_within(sp.mean, radius);
+                    fx.clear();
+                    fx.extend(cols.clone().map(|cx| {
+                        prob_within_delta_axis(
+                            sp.mean.x,
+                            sp.sigma,
+                            self.grid.center_x(cx),
+                            self.delta,
+                        )
+                    }));
+                    fy.clear();
+                    fy.extend(lines.clone().map(|cy| {
+                        prob_within_delta_axis(
+                            sp.mean.y,
+                            sp.sigma,
+                            self.grid.center_y(cy),
+                            self.delta,
+                        )
+                    }));
+                    for (cy, &py) in lines.zip(&fy) {
+                        for (cx, &px) in cols.clone().zip(&fx) {
+                            let lp = (px * py).max(self.min_prob).ln();
+                            if lp > self.floor_log {
+                                let row = rows
+                                    .entry(CellId(cy * nx + cx))
+                                    .or_insert_with(|| vec![self.floor_log; l].into_boxed_slice());
+                                row[t] = lp;
+                            }
                         }
                     }
                 }
@@ -113,88 +142,87 @@ impl<'a> ScorerCore<'a> {
         shard.built = true;
     }
 
-    /// Best-window mean of `cells` over one shard-local trajectory, read
-    /// from the corridor tables. `buf` is caller-owned scratch reused
-    /// across calls.
-    fn window_mean<'s>(
+    /// The corridor rows of `cells` for one shard-local trajectory, in
+    /// pattern order, into `out` (the shared all-floor row stands in for
+    /// cells the trajectory never comes near). Returns whether any cell
+    /// has a row of its own.
+    fn pattern_rows<'s>(
         &self,
         shard: &'s Shard,
         local: usize,
         cells: &[CellId],
-        buf: &mut Vec<&'s [f64]>,
-    ) -> f64 {
+        out: &mut Vec<&'s [f64]>,
+    ) -> bool {
         let l = self.data.trajectories()[shard.start + local].len();
-        let m = cells.len();
         let rows = &shard.rows[local];
-        buf.clear();
+        out.clear();
         let mut near = false;
         for c in cells {
             match rows.get(c) {
                 Some(r) => {
                     near = true;
-                    buf.push(r);
+                    out.push(r);
                 }
-                None => buf.push(&shard.floor[..l]),
+                None => out.push(&shard.floor[..l]),
             }
         }
-        if near {
-            best_window_mean_rows(buf, m, self.floor_log)
+        near
+    }
+
+    /// Best-window mean of `cells` over one shard-local trajectory, read
+    /// from the corridor tables.
+    fn window_mean<'s>(
+        &self,
+        shard: &'s Shard,
+        local: usize,
+        cells: &[CellId],
+        bufs: &mut WindowBufs<'s>,
+    ) -> f64 {
+        if self.pattern_rows(shard, local, cells, &mut bufs.rows) {
+            best_window_mean_rows(&bufs.rows, self.floor_log, &mut bufs.sums)
         } else {
-            untouched_window_mean(m, l, self.floor_log)
+            let l = self.data.trajectories()[shard.start + local].len();
+            untouched_window_mean(cells.len(), l, self.floor_log)
         }
     }
 
-    /// Per-trajectory contributions of every pattern in `batch` over one
-    /// shard, in (pattern, ascending local trajectory) order.
-    fn score_shard(&self, shard: &mut Shard, batch: &[Pattern], kind: Measure) -> Vec<Vec<f64>> {
+    /// Scores every pattern of `batch` over one shard, handing each
+    /// per-trajectory contribution to `sink(pattern index, value)` in
+    /// (pattern, ascending local trajectory) order.
+    fn score_shard(
+        &self,
+        shard: &mut Shard,
+        batch: &[Pattern],
+        kind: Measure,
+        mut sink: impl FnMut(usize, f64),
+    ) {
         self.build_shard(shard);
         let shard: &Shard = shard;
-        let locals = shard.end - shard.start;
-        let mut buf: Vec<&[f64]> = Vec::new();
-        let mut out = Vec::with_capacity(batch.len());
-        for pattern in batch {
+        let mut bufs = WindowBufs::default();
+        for (p, pattern) in batch.iter().enumerate() {
             let m = pattern.len();
-            let mut contributions = Vec::with_capacity(locals);
-            for local in 0..locals {
-                let mean = self.window_mean(shard, local, pattern.cells(), &mut buf);
-                contributions.push(match kind {
-                    Measure::Nm => mean,
-                    // best window *sum* (not mean); the match contribution
-                    // is its exp.
-                    Measure::Match => (mean * m as f64).exp(),
-                });
+            for local in 0..shard.len() {
+                let mean = self.window_mean(shard, local, pattern.cells(), &mut bufs);
+                sink(
+                    p,
+                    match kind {
+                        Measure::Nm => mean,
+                        // best window *sum* (not mean); the match
+                        // contribution is its exp.
+                        Measure::Match => (mean * m as f64).exp(),
+                    },
+                );
             }
-            out.push(contributions);
         }
-        out
     }
+}
 
-    /// The sparse singular-NM pass over one shard: for each trajectory (in
-    /// ascending order) the `(cell, best log-prob)` updates it produces, in
-    /// the exact order the sequential pass would apply them.
-    fn singular_updates(&self, start: usize, end: usize) -> Vec<(u32, f64)> {
-        let mut updates = Vec::new();
-        let mut best: FxHashMap<u32, f64> = FxHashMap::default();
-        for traj in &self.data.trajectories()[start..end] {
-            best.clear();
-            for sp in traj.points() {
-                let radius = self.delta + 8.0 * sp.sigma;
-                for cell in self.grid.cells_within(sp.mean, radius) {
-                    let lp = self.log_prob(sp, cell);
-                    if lp > self.floor_log {
-                        let e = best.entry(cell.0).or_insert(f64::NEG_INFINITY);
-                        if lp > *e {
-                            *e = lp;
-                        }
-                    }
-                }
-            }
-            for (&cell, &b) in best.iter() {
-                updates.push((cell, b));
-            }
-        }
-        updates
-    }
+/// Caller-owned buffers for [`ScorerCore::window_mean`], reused across
+/// calls: the pattern's rows and the per-window sums.
+#[derive(Default)]
+struct WindowBufs<'s> {
+    rows: Vec<&'s [f64]>,
+    sums: Vec<f64>,
 }
 
 /// Which measure a [`ScoreRequest`] computes.
@@ -222,6 +250,11 @@ struct Shard {
 }
 
 impl Shard {
+    /// Number of trajectories in this shard.
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+
     /// Drops the (possibly half-built) tables so the next use rebuilds
     /// them from scratch — the degradation path after a worker panic.
     fn reset(&mut self) {
@@ -426,58 +459,78 @@ impl<'a> Scorer<'a> {
         }
         let mut shards = self.shards.borrow_mut();
         let core = self.core;
-        let injected = self.panic_injection.take();
-        let per_shard: Vec<Vec<Vec<f64>>> = if shards.len() == 1 {
-            vec![core.score_shard(&mut shards[0], batch, kind)]
-        } else {
-            let joined: Vec<std::thread::Result<Vec<Vec<f64>>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, shard)| {
-                        let inject = injected == Some(i);
-                        scope.spawn(move || {
-                            if inject {
-                                panic!("injected scorer fault (shard {i})");
-                            }
-                            core.score_shard(shard, batch, kind)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-            // Graceful degradation: a worker panic must not poison the
-            // batch. Drop the failed shard's (possibly half-built)
-            // corridor tables and rescore that shard on this thread. The
-            // rebuild and the reduction below are deterministic, so the
-            // result stays bit-identical to a healthy run.
-            joined
-                .into_iter()
-                .enumerate()
-                .map(|(i, res)| match res {
-                    Ok(contributions) => contributions,
-                    Err(_) => {
-                        self.degraded.set(self.degraded.get() + 1);
-                        shards[i].reset();
-                        core.score_shard(&mut shards[i], batch, kind)
-                    }
-                })
-                .collect()
-        };
+        let mut totals = vec![0.0; batch.len()];
+        if let [shard] = &mut shards[..] {
+            // No worker to isolate; the injection is consumed all the same.
+            self.panic_injection.take();
+            // Contributions arrive in ascending trajectory order per
+            // pattern, so folding them on arrival is the sequential fold.
+            core.score_shard(shard, batch, kind, |p, c| totals[p] += c);
+            return totals;
+        }
+        // One flat buffer per shard, entry `p · locals + i` for pattern
+        // `p` and local trajectory `i`.
+        let per_shard = self.on_shards(&mut shards, |shard| {
+            let mut flat = Vec::with_capacity(batch.len() * shard.len());
+            core.score_shard(shard, batch, kind, |_, c| flat.push(c));
+            flat
+        });
         // Deterministic reduction: fold per-trajectory contributions in
         // ascending trajectory order — shards are contiguous and ordered,
         // so this is the exact sequential summation order.
-        batch
-            .iter()
-            .enumerate()
-            .map(|(p, _)| {
-                let mut total = 0.0;
-                for contributions in per_shard.iter() {
-                    for &c in &contributions[p] {
-                        total += c;
-                    }
+        for (shard, flat) in shards.iter().zip(&per_shard) {
+            let locals = shard.len();
+            for (p, total) in totals.iter_mut().enumerate() {
+                for &c in &flat[p * locals..(p + 1) * locals] {
+                    *total += c;
                 }
-                total
+            }
+        }
+        totals
+    }
+
+    /// Runs `work` on every shard, on scoped worker threads when there is
+    /// more than one, and returns the results in shard order. Graceful
+    /// degradation: a worker panic must not poison the call. The failed
+    /// shard's (possibly half-built) corridor tables are dropped and
+    /// `work` reruns on this thread. The rebuild is deterministic, so the
+    /// result stays bit-identical to a healthy run.
+    fn on_shards<R: Send>(
+        &self,
+        shards: &mut [Shard],
+        work: impl Fn(&mut Shard) -> R + Sync,
+    ) -> Vec<R> {
+        let injected = self.panic_injection.take();
+        if let [shard] = shards {
+            return vec![work(shard)];
+        }
+        let work = &work;
+        let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, shard)| {
+                    let inject = injected == Some(i);
+                    scope.spawn(move || {
+                        if inject {
+                            panic!("injected scorer fault (shard {i})");
+                        }
+                        work(shard)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        joined
+            .into_iter()
+            .enumerate()
+            .map(|(i, res)| match res {
+                Ok(r) => r,
+                Err(_) => {
+                    self.degraded.set(self.degraded.get() + 1);
+                    shards[i].reset();
+                    work(&mut shards[i])
+                }
             })
             .collect()
     }
@@ -551,16 +604,11 @@ impl<'a> Scorer<'a> {
             .extend(pattern.cells().iter().copied());
         let mut shards = self.shards.borrow_mut();
         let mut out = Vec::with_capacity(self.core.data.len());
-        let mut buf: Vec<&[f64]> = Vec::new();
         for shard in shards.iter_mut() {
-            self.core.build_shard(shard);
-            let shard: &Shard = shard;
-            for local in 0..shard.end - shard.start {
-                out.push(
-                    self.core
-                        .window_mean(shard, local, pattern.cells(), &mut buf),
-                );
-            }
+            self.core
+                .score_shard(shard, std::slice::from_ref(pattern), Measure::Nm, |_, c| {
+                    out.push(c)
+                });
         }
         out
     }
@@ -585,20 +633,13 @@ impl<'a> Scorer<'a> {
         for shard in shards.iter_mut() {
             self.core.build_shard(shard);
             let shard: &Shard = shard;
-            for local in 0..shard.end - shard.start {
+            for local in 0..shard.len() {
                 let l = self.core.data.trajectories()[shard.start + local].len();
                 if l < min_span {
                     total += self.core.floor_log;
                     continue;
                 }
-                let rows = &shard.rows[local];
-                buf.clear();
-                for c in cells {
-                    match rows.get(c) {
-                        Some(r) => buf.push(r),
-                        None => buf.push(&shard.floor[..l]),
-                    }
-                }
+                self.core.pattern_rows(shard, local, cells, &mut buf);
                 // dp[j]: best sum with the current position at snapshot j.
                 let mut dp: Vec<f64> = buf[0].to_vec();
                 for i in 1..m {
@@ -630,56 +671,29 @@ impl<'a> Scorer<'a> {
         total
     }
 
-    /// NM of every singular pattern, indexed by `CellId`. One sparse pass:
-    /// memory `O(G + touched cells per trajectory)`, no table building.
-    /// Runs sharded on the scorer's worker threads; the per-cell
-    /// accumulations are applied in the exact order of the sequential
-    /// pass, so results are bit-identical for every thread count.
+    /// NM of every singular pattern, indexed by `CellId`, read off the
+    /// corridor tables (built here if they are not yet, on the scorer's
+    /// worker threads when it is sharded; the later scoring reuses them).
+    /// A singular's best window is its row's best entry `b`, and a cell
+    /// with no row scores the floor, so the NM is `floor·n + Σ (b − floor)`
+    /// over the trajectories with a row, applied in ascending trajectory
+    /// order — bit-identical for every thread count.
     pub fn nm_all_singulars(&self) -> Vec<f64> {
         let g = self.core.grid.num_cells() as usize;
         let n = self.core.data.len() as f64;
-        let mut totals = vec![self.core.floor_log * n; g];
-        let shards = self.shards.borrow();
+        let floor = self.core.floor_log;
+        let mut totals = vec![floor * n; g];
+        let mut shards = self.shards.borrow_mut();
         let core = self.core;
-        let injected = self.panic_injection.take();
-        let per_shard: Vec<Vec<(u32, f64)>> = if shards.len() == 1 {
-            vec![core.singular_updates(shards[0].start, shards[0].end)]
-        } else {
-            let ranges: Vec<(usize, usize)> = shards.iter().map(|s| (s.start, s.end)).collect();
-            let joined: Vec<std::thread::Result<Vec<(u32, f64)>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(start, end))| {
-                        let inject = injected == Some(i);
-                        scope.spawn(move || {
-                            if inject {
-                                panic!("injected scorer fault (shard {i})");
-                            }
-                            core.singular_updates(start, end)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-            // Same degradation as `run_batch`: recompute a panicked
-            // shard's updates sequentially; application order below is
-            // unchanged, so the totals stay bit-identical.
-            joined
-                .into_iter()
-                .zip(ranges)
-                .map(|(res, (start, end))| match res {
-                    Ok(updates) => updates,
-                    Err(_) => {
-                        self.degraded.set(self.degraded.get() + 1);
-                        core.singular_updates(start, end)
-                    }
-                })
-                .collect()
-        };
-        for updates in per_shard.iter() {
-            for &(cell, b) in updates {
-                totals[cell as usize] += b - self.core.floor_log;
+        self.on_shards(&mut shards, |shard| core.build_shard(shard));
+        for shard in shards.iter() {
+            for rows in &shard.rows {
+                for (cell, row) in rows {
+                    let best = row
+                        .iter()
+                        .fold(f64::NEG_INFINITY, |b, &v| if v > b { v } else { b });
+                    totals[cell.index()] += best - floor;
+                }
             }
         }
         totals
@@ -728,6 +742,8 @@ impl<'q, 'a> ScoreRequest<'q, 'a> {
     /// *exactly this batch* (entry `i` ↔ `batch[i]`; debug-asserted).
     /// Patterns the index proves far from every trajectory resolve
     /// analytically; results are bit-identical with or without the index.
+    /// A reference path for the benchmark: no production caller attaches
+    /// one (see the module docs).
     pub fn with_index(mut self, index: &'q crate::index::PatternIndex) -> Self {
         debug_assert_eq!(
             index.len(),
@@ -764,21 +780,30 @@ fn effective_threads(threads: usize) -> usize {
 }
 
 /// Maximum over windows of the mean log probability (Eq. 3+4 for one
-/// trajectory) over row slices — window sums accumulate position by
-/// position and the best window strictly improves, the canonical fold
-/// order every scoring path replicates. Returns `floor_log` if the
-/// trajectory is shorter than the pattern.
-fn best_window_mean_rows(rows: &[&[f64]], m: usize, floor_log: f64) -> f64 {
+/// trajectory) over the pattern's rows (`m = rows.len()` positions of
+/// equal length `l`). Window `start`'s sum is
+/// `((0 + rows[0][start]) + rows[1][start + 1]) + …` and the best window
+/// is the first strictly largest sum — the canonical fold order every
+/// scoring path replicates. The sums accumulate row by row into `sums`
+/// (a caller-owned buffer): the same additions per window in the same
+/// order, over contiguous slices. Returns `floor_log` if the trajectory is
+/// shorter than the pattern.
+fn best_window_mean_rows(rows: &[&[f64]], floor_log: f64, sums: &mut Vec<f64>) -> f64 {
+    let m = rows.len();
     let l = rows[0].len();
     if l < m {
         return floor_log;
     }
-    let mut best = f64::NEG_INFINITY;
-    for start in 0..=(l - m) {
-        let mut sum = 0.0;
-        for (j, row) in rows.iter().enumerate() {
-            sum += row[start + j];
+    let windows = l - m + 1;
+    sums.clear();
+    sums.resize(windows, 0.0);
+    for (j, row) in rows.iter().enumerate() {
+        for (sum, &v) in sums.iter_mut().zip(&row[j..j + windows]) {
+            *sum += v;
         }
+    }
+    let mut best = f64::NEG_INFINITY;
+    for &sum in sums.iter() {
         if sum > best {
             best = sum;
         }
@@ -1166,6 +1191,189 @@ mod tests {
         assert_eq!(faulty.degraded_rescores(), 1);
         for (w, g) in want.iter().zip(&got) {
             assert_eq!(w.to_bits(), g.to_bits());
+        }
+    }
+
+    /// A mixed dataset for the kernel pins: `n` trajectories of 2–9
+    /// snapshots with σ from 0 to past the box, means partly outside it.
+    fn mixed_data(n: usize, bbox: BBox, seed: u64) -> Dataset {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (w, h) = (bbox.width(), bbox.height());
+        (0..n)
+            .map(|i| {
+                let len = 2 + i % 8;
+                let points = (0..len)
+                    .map(|_| {
+                        let x = bbox.min().x + w * rng.gen_range(-0.3..1.3);
+                        let y = bbox.min().y + h * rng.gen_range(-0.3..1.3);
+                        let sigma = match rng.gen_range(0u32..4) {
+                            0 => 0.0,
+                            1 => w * 1e-4,
+                            2 => w * rng.gen_range(0.01..0.1),
+                            _ => w * 2.0,
+                        };
+                        SnapshotPoint::new(Point2::new(x, y), sigma).unwrap()
+                    })
+                    .collect();
+                Trajectory::new(points).unwrap()
+            })
+            .collect()
+    }
+
+    /// Grids for the kernel pins: the unit box, and a non-unit box with an
+    /// offset origin and non-square cells.
+    fn kernel_grids() -> Vec<Grid> {
+        vec![
+            Grid::new(BBox::unit(), 6, 6).unwrap(),
+            Grid::new(
+                BBox::new(Point2::new(-3.0, 10.0), Point2::new(4.0, 12.5)).unwrap(),
+                9,
+                4,
+            )
+            .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn corridor_tables_equal_the_per_cell_kernel() {
+        // Every row entry is `prob_within_delta` at a cell `cells_within`
+        // returns, floored and logged; cells and entries the scan leaves
+        // out are the floor.
+        for grid in kernel_grids() {
+            let data = mixed_data(20, grid.bbox(), 11);
+            // The last δ's corridor covers the whole grid.
+            for delta in [0.02 * grid.bbox().width(), 0.1, 3.0 * grid.bbox().width()] {
+                let s = Scorer::new(&data, &grid, delta, 1e-9);
+                let floor = s.floor_log();
+                let mut shards = s.shards.borrow_mut();
+                s.core.build_shard(&mut shards[0]);
+                for (traj, rows) in data.trajectories().iter().zip(&shards[0].rows) {
+                    let mut want: FxHashMap<CellId, Vec<f64>> = FxHashMap::default();
+                    for (t, sp) in traj.points().iter().enumerate() {
+                        for cell in grid.cells_within(sp.mean, delta + 8.0 * sp.sigma) {
+                            let lp = prob_within_delta(sp.mean, sp.sigma, grid.center(cell), delta)
+                                .max(1e-9)
+                                .ln();
+                            if lp > floor {
+                                want.entry(cell).or_insert_with(|| vec![floor; traj.len()])[t] = lp;
+                            }
+                        }
+                    }
+                    assert_eq!(rows.len(), want.len());
+                    for (cell, row) in &want {
+                        let got: Vec<u64> = rows[cell].iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "cell {cell}, delta {delta}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The window-by-window scan the row-major fold replaced.
+    fn window_major(rows: &[&[f64]], floor_log: f64) -> f64 {
+        let m = rows.len();
+        let l = rows[0].len();
+        if l < m {
+            return floor_log;
+        }
+        let mut best = f64::NEG_INFINITY;
+        for start in 0..=(l - m) {
+            let mut sum = 0.0;
+            for (j, row) in rows.iter().enumerate() {
+                sum += row[start + j];
+            }
+            if sum > best {
+                best = sum;
+            }
+        }
+        best / m as f64
+    }
+
+    #[test]
+    fn row_major_fold_equals_the_window_major_scan() {
+        use rand::{Rng, SeedableRng};
+        let floor = (1e-12f64).ln();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut sums = Vec::new();
+        for case in 0..400 {
+            let l = 1 + case % 12;
+            let m = 1 + (case / 12) % l.max(1);
+            let m = if case % 7 == 0 { l } else { m };
+            let rows: Vec<Vec<f64>> = (0..m)
+                .map(|_| {
+                    (0..l)
+                        .map(|_| match case % 4 {
+                            // Floor-only rows.
+                            0 => floor,
+                            // Few distinct values: many tied windows.
+                            1 => [floor, -0.5, -1.25][rng.gen_range(0usize..3)],
+                            _ => {
+                                if rng.gen_range(0u32..10) < 3 {
+                                    floor
+                                } else {
+                                    -rng.gen_range(0.0f64..30.0)
+                                }
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+            let want = window_major(&rows, floor);
+            let got = best_window_mean_rows(&rows, floor, &mut sums);
+            assert_eq!(got.to_bits(), want.to_bits(), "l = {l}, m = {m}");
+        }
+        // A pattern longer than the trajectory scores the floor.
+        let short = [floor, -1.0];
+        let rows: Vec<&[f64]> = vec![&short; 3];
+        assert_eq!(best_window_mean_rows(&rows, floor, &mut sums), floor);
+    }
+
+    #[test]
+    fn singular_nms_equal_the_per_snapshot_max_pass() {
+        // The pass the tables replaced: per trajectory, the best
+        // above-floor log-prob of each cell over the corridor scan,
+        // applied as `b − floor` in ascending trajectory order.
+        for grid in kernel_grids() {
+            let data = mixed_data(30, grid.bbox(), 23);
+            let delta = 0.05 * grid.bbox().width();
+            let floor = (1e-9f64).ln();
+            let mut want = vec![floor * data.len() as f64; grid.num_cells() as usize];
+            for traj in data.trajectories() {
+                let mut best: FxHashMap<CellId, f64> = FxHashMap::default();
+                for sp in traj.points() {
+                    for cell in grid.cells_within(sp.mean, delta + 8.0 * sp.sigma) {
+                        let lp = prob_within_delta(sp.mean, sp.sigma, grid.center(cell), delta)
+                            .max(1e-9)
+                            .ln();
+                        if lp > floor {
+                            let e = best.entry(cell).or_insert(f64::NEG_INFINITY);
+                            if lp > *e {
+                                *e = lp;
+                            }
+                        }
+                    }
+                }
+                for (cell, b) in best {
+                    want[cell.index()] += b - floor;
+                }
+            }
+            for threads in [1, 3] {
+                let s = Scorer::with_threads(&data, &grid, delta, 1e-9, threads);
+                assert_eq!(s.num_shards(), threads);
+                let got = s.nm_all_singulars();
+                for (cell, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(w.to_bits(), g.to_bits(), "cell {cell}, threads {threads}");
+                }
+                // The tables it built serve the later scoring unchanged.
+                let singulars: Vec<Pattern> = grid.cells().map(Pattern::singular).collect();
+                let fresh = Scorer::new(&data, &grid, delta, 1e-9).score_batch(&singulars);
+                for (a, b) in s.score_batch(&singulars).iter().zip(&fresh) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
         }
     }
 

@@ -52,6 +52,7 @@ use crate::minmax::weighted_mean_bound;
 use crate::params::MiningParams;
 use crate::pattern::{MinedPattern, Pattern};
 use crate::scorer::Scorer;
+use crate::topk::select_top_k;
 use crate::MiningOutcome;
 use trajgeo::fxhash::FxHashSet;
 use trajgeo::{CellId, Grid};
@@ -347,20 +348,7 @@ pub fn certified_topk(
             l >= params.min_len && l <= eff_max_len
         })
         .collect();
-    let by_rank = |&a: &usize, &b: &usize| {
-        nms[b]
-            .partial_cmp(&nms[a])
-            .expect("NM values are finite")
-            .then_with(|| patterns[a].cmp(&patterns[b]))
-    };
-    // Select the top k first so the full sort only touches k entries; the
-    // comparator is a total order (distinct patterns), so the selected set
-    // and final order equal the full-sort-then-truncate result.
-    if order.len() > params.k {
-        order.select_nth_unstable_by(params.k - 1, by_rank);
-        order.truncate(params.k);
-    }
-    order.sort_unstable_by(by_rank);
+    select_top_k(&mut order, params.k, |i| nms[i], |i| &patterns[i]);
     let qualifying: Vec<MinedPattern> = order
         .into_iter()
         .map(|i| MinedPattern {

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use prediction::PatternLibrary;
 use trajdata::{Dataset, Trajectory};
-use trajpattern::{Pattern, PatternIndex, Scorer};
+use trajpattern::{Pattern, Scorer};
 
 use trajgeo::CellId;
 use trajquery::QuerySet;
@@ -133,12 +133,10 @@ pub struct Loaded {
     /// Pre-rendered `/v1/topk` response body (the snapshot's JSON).
     pub topk_json: String,
     /// The snapshot's pattern list, extracted once — request handlers
-    /// borrow this instead of re-cloning per request.
+    /// borrow this instead of re-cloning per request. `/v1` scoring runs
+    /// it on the posted trajectories' corridor tables with no pattern
+    /// index, so a swap builds none.
     pub patterns: Vec<Pattern>,
-    /// Spatial index over the patterns' cell bounding boxes, built once
-    /// per snapshot; `/v1` scoring consults it to skip patterns whose
-    /// cells lie outside the query's probability-mass corridor.
-    pub index: PatternIndex,
 }
 
 impl Loaded {
@@ -158,13 +156,11 @@ impl Loaded {
             .iter()
             .map(|m| m.pattern.clone())
             .collect();
-        let index = PatternIndex::build(&patterns, &snapshot.grid);
         Ok(Loaded {
             snapshot,
             library,
             topk_json,
             patterns,
-            index,
         })
     }
 }
@@ -860,9 +856,7 @@ fn matchlive_route(state: &ServeState, cfg: &ServerConfig, req: &Request) -> Res
 }
 
 /// Scores `batch` over `data` through the [`Scorer::query`] builder —
-/// the one scoring entry point shared by every route. `index`, built over
-/// exactly `batch`, lets far patterns resolve analytically; NMs are
-/// bit-identical to an unindexed run.
+/// the one scoring entry point shared by every route.
 fn score_with(
     state: &ServeState,
     cfg: &ServerConfig,
@@ -870,7 +864,6 @@ fn score_with(
     data: &Dataset,
     batch: &[Pattern],
     measure: trajpattern::Measure,
-    index: &PatternIndex,
 ) -> Vec<f64> {
     let snap = &loaded.snapshot;
     let scorer = Scorer::with_threads(
@@ -880,24 +873,9 @@ fn score_with(
         snap.params.min_prob,
         cfg.scorer_threads,
     );
-    let nms = scorer.query(batch).measure(measure).with_index(index).run();
+    let nms = scorer.query(batch).measure(measure).run();
     accumulate_scorer(state, &scorer, data.len());
     nms
-}
-
-/// The pattern index for a batch from [`select_patterns`]: the
-/// snapshot's own index for the whole snapshot, or one built over the
-/// filtered batch.
-fn batch_index<'l>(
-    loaded: &'l Loaded,
-    batch: &[Pattern],
-    filtered: bool,
-) -> std::borrow::Cow<'l, PatternIndex> {
-    if filtered {
-        std::borrow::Cow::Owned(PatternIndex::build(batch, &loaded.snapshot.grid))
-    } else {
-        std::borrow::Cow::Borrowed(&loaded.index)
-    }
 }
 
 /// Resolves a `/v1` pattern filter into `(snapshot indices, batch)`.
@@ -1032,8 +1010,7 @@ fn v1_score_route(
         Ok(s) => s,
         Err(resp) => return resp,
     };
-    let index = batch_index(loaded, &batch, opts.patterns.is_some());
-    let nms = score_with(state, cfg, loaded, &data, &batch, measure, &index);
+    let nms = score_with(state, cfg, loaded, &data, &batch, measure);
     QueryResponse::new("score")
         .field("trajectories", serde_json::json!(data.len()))
         .field("patterns", serde_json::json!(indices))
@@ -1067,8 +1044,7 @@ fn v1_match_route(
         Ok(s) => s,
         Err(resp) => return resp,
     };
-    let index = batch_index(loaded, &batch, opts.patterns.is_some());
-    let nms = score_with(state, cfg, loaded, &single, &batch, measure, &index);
+    let nms = score_with(state, cfg, loaded, &single, &batch, measure);
     let best = best_match_value(&loaded.snapshot, &indices, &batch, &nms);
     QueryResponse::new("match")
         .field("trajectories", serde_json::json!(1usize))

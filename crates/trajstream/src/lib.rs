@@ -49,7 +49,7 @@ use trajgeo::fxhash::FxHashMap;
 use trajgeo::Grid;
 use trajpattern::{
     certified_topk, effective_max_len_from, mine_seeded, MinedPattern, MiningParams, ParamsError,
-    Pattern, PatternIndex, Scorer, SeedCertifier,
+    Pattern, Scorer, SeedCertifier,
 };
 
 pub use checkpoint::{parse_checkpoint, STREAM_VERSION_LINE};
@@ -259,18 +259,18 @@ impl StreamMiner {
         self.next_seq += 1;
 
         // Delta-update the ledger: score every tracked pattern against the
-        // newcomer alone through the unified query API, with a spatial
-        // index over the tracked patterns (patterns the trajectory never
-        // comes near resolve to the floor constant analytically). A
-        // single-trajectory fold equals the raw per-trajectory
-        // contribution, so appending these keeps every ledger row
-        // bit-identical to what full-window scoring would produce for that
-        // trajectory index.
+        // newcomer alone through the unified query API. The scorer's
+        // corridor table for the one trajectory already resolves patterns
+        // it never comes near to the floor constant, so no pattern index
+        // is built (rebuilding one over the whole ledger on every arrival
+        // cost more than it saved). A single-trajectory fold equals the
+        // raw per-trajectory contribution, so appending these keeps every
+        // ledger row bit-identical to what full-window scoring would
+        // produce for that trajectory index.
         if !self.ledger.patterns.is_empty() {
             let single: Dataset = std::iter::once(traj.clone()).collect();
             let scorer = Scorer::new(&single, &self.grid, self.params.delta, self.params.min_prob);
-            let index = PatternIndex::build(&self.ledger.patterns, &self.grid);
-            let nms = scorer.query(&self.ledger.patterns).with_index(&index).run();
+            let nms = scorer.query(&self.ledger.patterns).run();
             for (row, nm) in self.ledger.contribs.iter_mut().zip(nms) {
                 row.push_back(nm);
             }
