@@ -5,6 +5,16 @@
 //! real time (see the perf guide's Hashing chapter). This is the classic
 //! "Fx" multiply-rotate hash used by rustc, implemented locally to avoid an
 //! extra dependency.
+//!
+//! [`FxHasher::finish`] rotates the running product before handing it to
+//! the table. The std `HashMap` picks a bucket from the *low* bits of the
+//! hash, and the low bits of a product `key × K` depend only on the low
+//! bits of the key. Keys that differ only in their high bits — the growth
+//! engine's pair memo keys ordered pairs as `(a << 32) | b`, so all pairs
+//! sharing `b` differ only above bit 32 — would otherwise share one home
+//! bucket and walk one long probe chain per insert. The product's high
+//! bits depend on every key bit, and the rotation moves them down to
+//! where the bucket is chosen.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -16,6 +26,10 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
+/// How far [`FxHasher::finish`] rotates the product: bits 38–63, which
+/// depend on every bit of a one-word key, land in the low bits the table
+/// indexes by (see the module docs).
+const FINISH_ROTATE: u32 = 26;
 
 /// A fast, non-cryptographic hasher (the rustc "Fx" algorithm).
 #[derive(Debug, Default, Clone)]
@@ -75,7 +89,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 }
 
@@ -128,5 +142,20 @@ mod tests {
             seen.insert(hash_of(&i) & 0xff);
         }
         assert!(seen.len() > 200, "only {} low-byte values", seen.len());
+    }
+
+    #[test]
+    fn pair_keys_spread_over_low_bits() {
+        // The growth engine keys ordered pairs as `(a << 32) | b`. With a
+        // few distinct `b` and many `a`, the keys differ only in their
+        // high half; the low byte (the bucket the table probes first)
+        // must still take many values, not one per `b`.
+        let mut seen = std::collections::HashSet::new();
+        for b in 0..8u64 {
+            for a in 0..512u64 {
+                seen.insert(hash_of(&((a << 32) | (b * 97 + 3))) & 0xff);
+            }
+        }
+        assert!(seen.len() >= 200, "only {} low-byte values", seen.len());
     }
 }

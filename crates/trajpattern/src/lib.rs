@@ -85,5 +85,5 @@ pub use index::PatternIndex;
 pub use miner::{Error, Miner};
 pub use params::{MiningParams, ParamsError};
 pub use pattern::{MinedPattern, Pattern};
-pub use scorer::{Measure, ScoreRequest, Scorer, ScorerStats};
+pub use scorer::{CorridorTable, Measure, ScoreRequest, Scorer, ScorerStats, TableError};
 pub use seeded::{certified_topk, mine_seeded, SeedCertifier, SeedError, SeededOutcome};

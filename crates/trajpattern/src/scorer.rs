@@ -4,8 +4,8 @@
 //! (the paper's complexity analysis charges `O(MN)` per pattern). Every
 //! production scoring call runs on one exact kernel here. The [`Scorer`]:
 //!
-//! - builds, once per trajectory shard, a *corridor table*: for each
-//!   trajectory, the per-snapshot log probabilities
+//! - builds, once per trajectory, a *corridor table* ([`CorridorTable`]):
+//!   the per-snapshot log probabilities
 //!   `ln Prob(l, σ, center(cell), δ)` of exactly the cells that can
 //!   receive above-floor probability. A snapshot only gives non-floor
 //!   probability to cells within `δ + 8σ` of its mean, and that L∞ ball
@@ -14,7 +14,9 @@
 //!   only on its column (y only on its row), so each snapshot evaluates
 //!   one factor per column and one per row of its rectangle, and each
 //!   cell's probability is their product — every probability computed
-//!   once per (cell, snapshot), never per pattern;
+//!   once per (cell, snapshot), never per pattern. A caller that scores
+//!   the same trajectories many times builds their tables once and lends
+//!   them to [`Scorer::with_tables`];
 //! - reads all `G` singular-pattern NMs off those same tables
 //!   ([`Scorer::nm_all_singulars`]): a singular's best window is its
 //!   row's best entry, so mining's first step and its scoring share one
@@ -48,16 +50,17 @@
 //!
 //! Internally the scorer is split into a `Send + Sync` read-only core
 //! ([`ScorerCore`]: dataset/grid/δ) shared by all workers, and per-shard
-//! mutable state (the shard's corridor tables), so the parallel path
-//! needs no locks and no `unsafe`.
+//! mutable state (the shard's corridor tables, built or borrowed), so the
+//! parallel path needs no locks and no `unsafe`.
 //!
 //! Per-position probabilities are clamped below by `min_prob` so `log M`
 //! stays finite; DESIGN.md §5 explains why this preserves the min-max
 //! property exactly.
 
 use crate::pattern::Pattern;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
-use trajdata::{Dataset, SnapshotPoint};
+use trajdata::{Dataset, SnapshotPoint, Trajectory};
 use trajgeo::fxhash::{FxHashMap, FxHashSet};
 use trajgeo::stats::{prob_within_delta, prob_within_delta_axis};
 use trajgeo::{CellId, Grid};
@@ -79,64 +82,21 @@ struct ScorerCore<'a> {
 }
 
 impl<'a> ScorerCore<'a> {
-    /// Builds `shard`'s corridor tables if they are not built yet: per
-    /// local trajectory, a log-probability row for every cell some
-    /// snapshot reaches within `δ + 8σ`. Each entry is
-    /// `ln(max(Prob(l, σ, center(cell), δ), min_prob))`, with `Prob`
-    /// evaluated as the product of its per-axis factors — the same
-    /// product [`prob_within_delta`] computes, so bit for bit the same
-    /// value. Row entries the corridor scan does not touch are the floor
-    /// *exactly* (the invariant [`Scorer::nm_all_singulars`] and the
-    /// untouched-window shortcut rest on), so these sparse rows carry
-    /// bit-identical values to a dense fill.
-    fn build_shard(&self, shard: &mut Shard) {
+    /// Builds `shard`'s corridor tables if it has none yet: one
+    /// [`CorridorTable`] per local trajectory.
+    fn build_shard(&self, shard: &mut Shard<'_>) {
         if shard.built {
             return;
         }
-        let trajs = &self.data.trajectories()[shard.start..shard.end];
-        let max_l = trajs.iter().map(|t| t.len()).max().unwrap_or(0);
-        shard.floor = vec![self.floor_log; max_l].into_boxed_slice();
-        let nx = self.grid.nx();
-        let (mut fx, mut fy) = (Vec::new(), Vec::new());
-        shard.rows = trajs
+        shard.tables = self.data.trajectories()[shard.start..shard.end]
             .iter()
             .map(|traj| {
-                let l = traj.len();
-                let mut rows: FxHashMap<CellId, Box<[f64]>> = FxHashMap::default();
-                for (t, sp) in traj.points().iter().enumerate() {
-                    let radius = self.delta + 8.0 * sp.sigma;
-                    let (cols, lines) = self.grid.span_within(sp.mean, radius);
-                    fx.clear();
-                    fx.extend(cols.clone().map(|cx| {
-                        prob_within_delta_axis(
-                            sp.mean.x,
-                            sp.sigma,
-                            self.grid.center_x(cx),
-                            self.delta,
-                        )
-                    }));
-                    fy.clear();
-                    fy.extend(lines.clone().map(|cy| {
-                        prob_within_delta_axis(
-                            sp.mean.y,
-                            sp.sigma,
-                            self.grid.center_y(cy),
-                            self.delta,
-                        )
-                    }));
-                    for (cy, &py) in lines.zip(&fy) {
-                        for (cx, &px) in cols.clone().zip(&fx) {
-                            let lp = (px * py).max(self.min_prob).ln();
-                            if lp > self.floor_log {
-                                let row = rows
-                                    .entry(CellId(cy * nx + cx))
-                                    .or_insert_with(|| vec![self.floor_log; l].into_boxed_slice());
-                                row[t] = lp;
-                            }
-                        }
-                    }
-                }
-                rows
+                Cow::Owned(CorridorTable::build(
+                    traj,
+                    self.grid,
+                    self.delta,
+                    self.min_prob,
+                ))
             })
             .collect();
         shard.built = true;
@@ -148,17 +108,17 @@ impl<'a> ScorerCore<'a> {
     /// has a row of its own.
     fn pattern_rows<'s>(
         &self,
-        shard: &'s Shard,
+        shard: &'s Shard<'_>,
         local: usize,
         cells: &[CellId],
         out: &mut Vec<&'s [f64]>,
     ) -> bool {
-        let l = self.data.trajectories()[shard.start + local].len();
-        let rows = &shard.rows[local];
+        let table: &'s CorridorTable = &shard.tables[local];
+        let l = table.len();
         out.clear();
         let mut near = false;
         for c in cells {
-            match rows.get(c) {
+            match table.row(*c) {
                 Some(r) => {
                     near = true;
                     out.push(r);
@@ -173,7 +133,7 @@ impl<'a> ScorerCore<'a> {
     /// from the corridor tables.
     fn window_mean<'s>(
         &self,
-        shard: &'s Shard,
+        shard: &'s Shard<'_>,
         local: usize,
         cells: &[CellId],
         bufs: &mut WindowBufs<'s>,
@@ -181,8 +141,7 @@ impl<'a> ScorerCore<'a> {
         if self.pattern_rows(shard, local, cells, &mut bufs.rows) {
             best_window_mean_rows(&bufs.rows, self.floor_log, &mut bufs.sums)
         } else {
-            let l = self.data.trajectories()[shard.start + local].len();
-            untouched_window_mean(cells.len(), l, self.floor_log)
+            untouched_window_mean(cells.len(), shard.tables[local].len(), self.floor_log)
         }
     }
 
@@ -191,13 +150,13 @@ impl<'a> ScorerCore<'a> {
     /// (pattern, ascending local trajectory) order.
     fn score_shard(
         &self,
-        shard: &mut Shard,
+        shard: &mut Shard<'_>,
         batch: &[Pattern],
         kind: Measure,
         mut sink: impl FnMut(usize, f64),
     ) {
         self.build_shard(shard);
-        let shard: &Shard = shard;
+        let shard: &Shard<'_> = shard;
         let mut bufs = WindowBufs::default();
         for (p, pattern) in batch.iter().enumerate() {
             let m = pattern.len();
@@ -236,31 +195,186 @@ pub enum Measure {
     Match,
 }
 
+/// One trajectory's corridor table: for every cell some snapshot comes
+/// within `δ + 8σ` of, the log-probability row over the trajectory's
+/// snapshots. Entry `t` of cell `c`'s row is
+/// `ln(max(Prob(l_t, σ_t, center(c), δ), min_prob))`, with `Prob`
+/// evaluated as the product of its per-axis factors — the same product
+/// [`prob_within_delta`] computes, so bit for bit the same value. Entries
+/// the corridor scan does not reach are the floor `ln(min_prob)`
+/// *exactly*, and a cell no snapshot reaches has no row at all (the
+/// invariant [`Scorer::nm_all_singulars`] and the untouched-window
+/// shortcut rest on), so these sparse rows carry bit-identical values to
+/// a dense fill.
+///
+/// [`CorridorTable::build`] is the only table builder: a [`Scorer`]
+/// builds one per trajectory on first use, and a caller that scores the
+/// same trajectory many times (the streaming window) builds it once and
+/// lends it to [`Scorer::with_tables`]. A table records the grid, δ and
+/// `min_prob` it was built under, so a scorer can refuse one built under
+/// another configuration.
+#[derive(Debug, Clone)]
+pub struct CorridorTable {
+    grid: Grid,
+    delta: f64,
+    min_prob: f64,
+    len: usize,
+    rows: FxHashMap<CellId, Box<[f64]>>,
+}
+
+impl CorridorTable {
+    /// Builds `traj`'s table under `grid`, δ and `min_prob`. Each
+    /// snapshot's `δ + 8σ` L∞ ball is a rectangle of grid columns × rows
+    /// ([`Grid::span_within`]); the snapshot evaluates one probability
+    /// factor per column and one per row of it, and each cell's
+    /// probability is their product.
+    pub fn build(traj: &Trajectory, grid: &Grid, delta: f64, min_prob: f64) -> CorridorTable {
+        let floor_log = min_prob.ln();
+        let l = traj.len();
+        let nx = grid.nx();
+        let (mut fx, mut fy) = (Vec::new(), Vec::new());
+        let mut rows: FxHashMap<CellId, Box<[f64]>> = FxHashMap::default();
+        for (t, sp) in traj.points().iter().enumerate() {
+            let radius = delta + 8.0 * sp.sigma;
+            let (cols, lines) = grid.span_within(sp.mean, radius);
+            fx.clear();
+            fx.extend(
+                cols.clone().map(|cx| {
+                    prob_within_delta_axis(sp.mean.x, sp.sigma, grid.center_x(cx), delta)
+                }),
+            );
+            fy.clear();
+            fy.extend(
+                lines.clone().map(|cy| {
+                    prob_within_delta_axis(sp.mean.y, sp.sigma, grid.center_y(cy), delta)
+                }),
+            );
+            for (cy, &py) in lines.zip(&fy) {
+                for (cx, &px) in cols.clone().zip(&fx) {
+                    let lp = (px * py).max(min_prob).ln();
+                    if lp > floor_log {
+                        let row = rows
+                            .entry(CellId(cy * nx + cx))
+                            .or_insert_with(|| vec![floor_log; l].into_boxed_slice());
+                        row[t] = lp;
+                    }
+                }
+            }
+        }
+        CorridorTable {
+            grid: grid.clone(),
+            delta,
+            min_prob,
+            len: l,
+            rows,
+        }
+    }
+
+    /// Snapshots of the trajectory the table was built from (the length
+    /// of every row).
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `cell`'s log-probability row, or `None` when no snapshot comes
+    /// near the cell (every entry would be the floor).
+    #[inline]
+    fn row(&self, cell: CellId) -> Option<&[f64]> {
+        self.rows.get(&cell).map(|r| &r[..])
+    }
+
+    /// Whether the table was built under exactly this configuration
+    /// (δ and `min_prob` compared bit for bit).
+    fn built_under(&self, grid: &Grid, delta: f64, min_prob: f64) -> bool {
+        self.grid == *grid
+            && self.delta.to_bits() == delta.to_bits()
+            && self.min_prob.to_bits() == min_prob.to_bits()
+    }
+}
+
+/// Why [`Scorer::with_tables`] refused a set of prebuilt corridor tables.
+/// A mismatched table would silently give wrong scores.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum TableError {
+    /// The number of tables differs from the number of trajectories.
+    Count {
+        /// Tables passed.
+        tables: usize,
+        /// Trajectories in the dataset.
+        trajectories: usize,
+    },
+    /// Table `index` was built from a trajectory of another length.
+    Length {
+        /// Position of the table (and its trajectory).
+        index: usize,
+        /// The table's snapshot count.
+        table: usize,
+        /// The trajectory's snapshot count.
+        trajectory: usize,
+    },
+    /// Table `index` was built under another grid, δ or `min_prob`.
+    Config {
+        /// Position of the table (and its trajectory).
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for TableError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TableError::Count {
+                tables,
+                trajectories,
+            } => write!(
+                f,
+                "{tables} corridor tables for a dataset of {trajectories} trajectories"
+            ),
+            TableError::Length {
+                index,
+                table,
+                trajectory,
+            } => write!(
+                f,
+                "corridor table {index} covers {table} snapshots but its trajectory has {trajectory}"
+            ),
+            TableError::Config { index } => write!(
+                f,
+                "corridor table {index} was built under another grid, delta or min_prob"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TableError {}
+
 /// One worker's mutable state: a contiguous trajectory range and its
-/// corridor tables — per local trajectory, a map from cell to the full
-/// log-probability row, plus one shared all-floor row (sliced to each
-/// trajectory's length) standing in for every absent cell.
+/// corridor tables — built on first use, or borrowed from the caller
+/// ([`Scorer::with_tables`]) — plus one shared all-floor row (sliced to
+/// each trajectory's length) standing in for every absent cell.
 #[derive(Debug)]
-struct Shard {
+struct Shard<'t> {
     start: usize,
     end: usize,
     built: bool,
-    rows: Vec<FxHashMap<CellId, Box<[f64]>>>,
+    tables: Vec<Cow<'t, CorridorTable>>,
     floor: Box<[f64]>,
 }
 
-impl Shard {
+impl Shard<'_> {
     /// Number of trajectories in this shard.
     fn len(&self) -> usize {
         self.end - self.start
     }
 
-    /// Drops the (possibly half-built) tables so the next use rebuilds
-    /// them from scratch — the degradation path after a worker panic.
+    /// Drops the shard's tables, owned or borrowed, so the next use
+    /// rebuilds them from the trajectories — the degradation path after a
+    /// worker panic. The rebuild is deterministic, so a rebuilt table
+    /// equals a lent one bit for bit.
     fn reset(&mut self) {
         self.built = false;
-        self.rows = Vec::new();
-        self.floor = Box::default();
+        self.tables = Vec::new();
     }
 }
 
@@ -273,7 +387,7 @@ impl Shard {
 pub struct Scorer<'a> {
     core: ScorerCore<'a>,
     threads: usize,
-    shards: RefCell<Vec<Shard>>,
+    shards: RefCell<Vec<Shard<'a>>>,
     /// Distinct cells referenced by scored patterns — the demand-driven
     /// "cache size" figure surfaced by [`Scorer::cached_cells`], kept
     /// stable across the corridor-table refactor.
@@ -318,17 +432,26 @@ impl<'a> Scorer<'a> {
         debug_assert!(min_prob > 0.0 && min_prob < 1.0);
         debug_assert!(delta > 0.0);
         let threads = effective_threads(threads);
+        let floor_log = min_prob.ln();
         // Never split below MIN_TRAJECTORIES_PER_SHARD per worker: tiny
         // shards cost more in spawn/cache duplication than they win.
         let shard_count = (data.len() / MIN_TRAJECTORIES_PER_SHARD).clamp(1, threads);
         let n = data.len();
         let shards = (0..shard_count)
-            .map(|s| Shard {
-                start: n * s / shard_count,
-                end: n * (s + 1) / shard_count,
-                built: false,
-                rows: Vec::new(),
-                floor: Box::default(),
+            .map(|s| {
+                let (start, end) = (n * s / shard_count, n * (s + 1) / shard_count);
+                let longest = data.trajectories()[start..end]
+                    .iter()
+                    .map(|t| t.len())
+                    .max()
+                    .unwrap_or(0);
+                Shard {
+                    start,
+                    end,
+                    built: false,
+                    tables: Vec::new(),
+                    floor: vec![floor_log; longest].into_boxed_slice(),
+                }
             })
             .collect();
         Scorer {
@@ -337,7 +460,7 @@ impl<'a> Scorer<'a> {
                 grid,
                 delta,
                 min_prob,
-                floor_log: min_prob.ln(),
+                floor_log,
             },
             threads,
             shards: RefCell::new(shards),
@@ -346,6 +469,56 @@ impl<'a> Scorer<'a> {
             degraded: Cell::new(0),
             panic_injection: Cell::new(None),
         }
+    }
+
+    /// [`Scorer::with_threads`] over prebuilt corridor tables:
+    /// `tables[i]` must be [`CorridorTable::build`]'s table for
+    /// `data`'s `i`-th trajectory under `grid`, δ and `min_prob`. The
+    /// shards borrow the tables instead of building their own, so a caller
+    /// that scores the same trajectories again and again (the streaming
+    /// window) pays for each table once. Scores, counters and the
+    /// worker-panic degradation path are bit-identical to
+    /// [`Scorer::with_threads`] over the same data.
+    ///
+    /// Rejects a table count that differs from the trajectory count, a
+    /// table whose length differs from its trajectory's, and a table built
+    /// under another grid, δ or `min_prob`.
+    pub fn with_tables(
+        data: &'a Dataset,
+        tables: impl IntoIterator<Item = &'a CorridorTable>,
+        grid: &'a Grid,
+        delta: f64,
+        min_prob: f64,
+        threads: usize,
+    ) -> Result<Scorer<'a>, TableError> {
+        let tables: Vec<&'a CorridorTable> = tables.into_iter().collect();
+        if tables.len() != data.len() {
+            return Err(TableError::Count {
+                tables: tables.len(),
+                trajectories: data.len(),
+            });
+        }
+        for (index, (table, traj)) in tables.iter().zip(data.iter()).enumerate() {
+            if !table.built_under(grid, delta, min_prob) {
+                return Err(TableError::Config { index });
+            }
+            if table.len() != traj.len() {
+                return Err(TableError::Length {
+                    index,
+                    table: table.len(),
+                    trajectory: traj.len(),
+                });
+            }
+        }
+        let mut scorer = Scorer::with_threads(data, grid, delta, min_prob, threads);
+        for shard in scorer.shards.get_mut() {
+            shard.tables = tables[shard.start..shard.end]
+                .iter()
+                .map(|&t| Cow::Borrowed(t))
+                .collect();
+            shard.built = true;
+        }
+        Ok(scorer)
     }
 
     /// The dataset being scored.
@@ -497,8 +670,8 @@ impl<'a> Scorer<'a> {
     /// result stays bit-identical to a healthy run.
     fn on_shards<R: Send>(
         &self,
-        shards: &mut [Shard],
-        work: impl Fn(&mut Shard) -> R + Sync,
+        shards: &mut [Shard<'a>],
+        work: impl Fn(&mut Shard<'a>) -> R + Sync,
     ) -> Vec<R> {
         let injected = self.panic_injection.take();
         if let [shard] = shards {
@@ -632,9 +805,9 @@ impl<'a> Scorer<'a> {
         let mut buf: Vec<&[f64]> = Vec::new();
         for shard in shards.iter_mut() {
             self.core.build_shard(shard);
-            let shard: &Shard = shard;
+            let shard: &Shard<'_> = shard;
             for local in 0..shard.len() {
-                let l = self.core.data.trajectories()[shard.start + local].len();
+                let l = shard.tables[local].len();
                 if l < min_span {
                     total += self.core.floor_log;
                     continue;
@@ -687,8 +860,8 @@ impl<'a> Scorer<'a> {
         let core = self.core;
         self.on_shards(&mut shards, |shard| core.build_shard(shard));
         for shard in shards.iter() {
-            for rows in &shard.rows {
-                for (cell, row) in rows {
+            for table in &shard.tables {
+                for (cell, row) in &table.rows {
                     let best = row
                         .iter()
                         .fold(f64::NEG_INFINITY, |b, &v| if v > b { v } else { b });
@@ -1248,7 +1421,8 @@ mod tests {
                 let floor = s.floor_log();
                 let mut shards = s.shards.borrow_mut();
                 s.core.build_shard(&mut shards[0]);
-                for (traj, rows) in data.trajectories().iter().zip(&shards[0].rows) {
+                for (traj, table) in data.trajectories().iter().zip(&shards[0].tables) {
+                    let rows = &table.rows;
                     let mut want: FxHashMap<CellId, Vec<f64>> = FxHashMap::default();
                     for (t, sp) in traj.points().iter().enumerate() {
                         for cell in grid.cells_within(sp.mean, delta + 8.0 * sp.sigma) {
@@ -1375,6 +1549,122 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every trajectory's table, built the one way there is.
+    fn tables_for(data: &Dataset, grid: &Grid, delta: f64, min_prob: f64) -> Vec<CorridorTable> {
+        data.iter()
+            .map(|t| CorridorTable::build(t, grid, delta, min_prob))
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn lent_tables_score_like_built_ones() {
+        for grid in kernel_grids() {
+            let data = mixed_data(30, grid.bbox(), 41);
+            let delta = 0.05 * grid.bbox().width();
+            let tables = tables_for(&data, &grid, delta, 1e-9);
+            let cells: Vec<CellId> = grid.cells().collect();
+            let mut batch: Vec<Pattern> = cells.iter().map(|&c| Pattern::singular(c)).collect();
+            for (i, w) in cells.windows(3).enumerate() {
+                batch.push(Pattern::new(w[..2 + i % 2].to_vec()).unwrap());
+            }
+            for threads in [1, 3] {
+                // Second round: a worker panics in the singular pass and in
+                // the match batch; lent tables degrade like built ones.
+                for faulty in [false, true] {
+                    let built = Scorer::with_threads(&data, &grid, delta, 1e-9, threads);
+                    let lent =
+                        Scorer::with_tables(&data, &tables, &grid, delta, 1e-9, threads).unwrap();
+                    assert_eq!(lent.num_shards(), threads);
+                    assert_eq!(lent.num_shards(), built.num_shards());
+                    let inject = |s: &Scorer<'_>| {
+                        if faulty {
+                            s.inject_panic_next_batch(1);
+                        }
+                    };
+                    for s in [&built, &lent] {
+                        inject(s);
+                    }
+                    assert_eq!(
+                        bits(&lent.nm_all_singulars()),
+                        bits(&built.nm_all_singulars())
+                    );
+                    assert_eq!(
+                        bits(&lent.score_batch(&batch)),
+                        bits(&built.score_batch(&batch))
+                    );
+                    for s in [&built, &lent] {
+                        inject(s);
+                    }
+                    assert_eq!(
+                        bits(&lent.score_batch_match(&batch)),
+                        bits(&built.score_batch_match(&batch))
+                    );
+                    for p in batch.iter().step_by(5) {
+                        assert_eq!(
+                            bits(&lent.nm_contributions(p)),
+                            bits(&built.nm_contributions(p))
+                        );
+                    }
+                    for w in cells.windows(3).step_by(4) {
+                        let gaps = [(0, 2), (1, 1)];
+                        assert_eq!(
+                            lent.nm_gapped(w, &gaps).to_bits(),
+                            built.nm_gapped(w, &gaps).to_bits()
+                        );
+                    }
+                    assert_eq!(lent.stats(), built.stats());
+                    let degraded = if faulty && threads > 1 { 2 } else { 0 };
+                    assert_eq!(lent.degraded_rescores(), degraded);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tables_from_another_configuration_are_rejected() {
+        let (data, grid) = setup(4, 0.05);
+        let good = tables_for(&data, &grid, 0.1, 1e-12);
+        assert!(Scorer::with_tables(&data, &good, &grid, 0.1, 1e-12, 1).is_ok());
+        let other_delta = tables_for(&data, &grid, 0.2, 1e-12);
+        let err = Scorer::with_tables(&data, &other_delta, &grid, 0.1, 1e-12, 1).unwrap_err();
+        assert_eq!(err, TableError::Config { index: 0 });
+        // One stale table among good ones is found where it sits.
+        let mut mixed = good.clone();
+        mixed[2] = other_delta[2].clone();
+        let err = Scorer::with_tables(&data, &mixed, &grid, 0.1, 1e-12, 1).unwrap_err();
+        assert_eq!(err, TableError::Config { index: 2 });
+        let other_floor = tables_for(&data, &grid, 0.1, 1e-9);
+        assert!(Scorer::with_tables(&data, &other_floor, &grid, 0.1, 1e-12, 1).is_err());
+        let coarse = Grid::new(BBox::unit(), 2, 2).unwrap();
+        let other_grid = tables_for(&data, &coarse, 0.1, 1e-12);
+        assert!(Scorer::with_tables(&data, &other_grid, &grid, 0.1, 1e-12, 1).is_err());
+        let err = Scorer::with_tables(&data, &good[..3], &grid, 0.1, 1e-12, 1).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Count {
+                tables: 3,
+                trajectories: 4
+            }
+        );
+        let short: Dataset = vec![Trajectory::from_exact([Point2::new(0.1, 0.1)]); 4]
+            .into_iter()
+            .collect();
+        let err = Scorer::with_tables(&short, &good, &grid, 0.1, 1e-12, 1).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Length {
+                index: 0,
+                table: 4,
+                trajectory: 1
+            }
+        );
+        assert!(err.to_string().contains("4 snapshots"));
     }
 
     #[test]

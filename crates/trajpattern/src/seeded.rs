@@ -159,7 +159,8 @@ pub fn mine_seeded(
 ///
 /// The membership index is built once per seed *set* ([`SeedCertifier::new`])
 /// and reused across events: set membership only changes when a repair
-/// scores something new, while the NM values (which change every event)
+/// scores something new (and then only grows, by
+/// [`extend`](SeedCertifier::extend)), while the NM values (which change every event)
 /// are passed to each [`certify`](SeedCertifier::certify) call. Per-pair
 /// work is a handful of float ops; member lookups happen only for pairs
 /// whose bound survives, and each length class is scanned best-NM-first
@@ -184,22 +185,30 @@ impl SeedCertifier {
     /// calls must pass NMs aligned with exactly these patterns, in this
     /// order.
     pub fn new(patterns: &[Pattern]) -> SeedCertifier {
-        let mut members = FxHashSet::default();
-        let mut cells = Vec::with_capacity(patterns.len());
-        let mut by_len: Vec<Vec<u32>> = Vec::new();
-        for (i, p) in patterns.iter().enumerate() {
-            members.insert(p.cells().to_vec());
-            cells.push(p.cells().to_vec());
+        let mut cert = SeedCertifier {
+            members: FxHashSet::default(),
+            cells: Vec::with_capacity(patterns.len()),
+            by_len: Vec::new(),
+        };
+        cert.extend(patterns);
+        cert
+    }
+
+    /// Appends `patterns` to the index, after the ones it already holds:
+    /// the result answers exactly like [`SeedCertifier::new`] over the
+    /// concatenated pattern list. A streaming caller whose ledger grows
+    /// by a few absorbed patterns extends its certifier instead of
+    /// rebuilding it over the whole ledger.
+    pub fn extend(&mut self, patterns: &[Pattern]) {
+        for p in patterns {
+            let i = self.cells.len() as u32;
+            self.members.insert(p.cells().to_vec());
+            self.cells.push(p.cells().to_vec());
             let l = p.len();
-            if by_len.len() < l {
-                by_len.resize(l, Vec::new());
+            if self.by_len.len() < l {
+                self.by_len.resize(l, Vec::new());
             }
-            by_len[l - 1].push(i as u32);
-        }
-        SeedCertifier {
-            members,
-            cells,
-            by_len,
+            self.by_len[l - 1].push(i);
         }
     }
 
@@ -542,6 +551,49 @@ mod tests {
         assert!(!cert.certify(&params, eff, &singular_nms));
         let strict = params.clone().with_min_len(2).unwrap();
         assert!(!cert.certify(&strict, eff, &store_nms));
+    }
+
+    #[test]
+    fn extended_certifier_answers_like_a_fresh_one() {
+        let (data, grid) = sweep_data(6, 0.05);
+        let params = MiningParams::new(5, 0.1).unwrap().with_max_len(3).unwrap();
+        let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
+        let eff = effective_max_len(&scorer, &params);
+        let store = mine_seeded(&scorer, &params, &[]).unwrap().store;
+        let patterns: Vec<Pattern> = store.iter().map(|m| m.pattern.clone()).collect();
+        let nms: Vec<f64> = store.iter().map(|m| m.nm).collect();
+        // NM vectors that certify, and ones that do not: the store's own
+        // (certifies), all-equal NMs (every pair clears the bound, and most
+        // pairs are not members), and each pattern pushed down or lifted
+        // in turn.
+        let mut cases = vec![nms.clone(), vec![0.0; nms.len()]];
+        for i in 0..nms.len() {
+            let mut v = nms.clone();
+            v[i] += if i % 2 == 0 { -50.0 } else { 5.0 };
+            cases.push(v);
+        }
+        let fresh = SeedCertifier::new(&patterns);
+        let answers: Vec<bool> = cases
+            .iter()
+            .map(|v| fresh.certify(&params, eff, v))
+            .collect();
+        assert!(answers.iter().any(|&a| a) && answers.iter().any(|&a| !a));
+        let n = patterns.len();
+        for split in [0, 1, grid.num_cells() as usize, n - 1, n] {
+            // Built over a prefix, then extended in up to two steps.
+            let step = split.max(n / 2);
+            let mut cert = SeedCertifier::new(&patterns[..split]);
+            cert.extend(&patterns[split..step]);
+            cert.extend(&patterns[step..]);
+            assert_eq!(cert.members, fresh.members);
+            assert_eq!(cert.cells, fresh.cells);
+            assert_eq!(cert.by_len, fresh.by_len);
+            for (v, &want) in cases.iter().zip(&answers) {
+                assert_eq!(cert.certify(&params, eff, v), want, "split {split}");
+            }
+            // A misaligned NM vector is refused alike.
+            assert!(!cert.certify(&params, eff, &nms[1..]));
+        }
     }
 
     #[test]

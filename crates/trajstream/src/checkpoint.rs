@@ -36,7 +36,7 @@ use trajdata::{SnapshotPoint, Trajectory};
 use trajgeo::{BBox, CellId, Grid, Point2};
 use trajpattern::groups::discover_groups;
 use trajpattern::{
-    CheckpointError, MinedPattern, MiningOutcome, MiningParams, MiningStats, Pattern,
+    CheckpointError, CorridorTable, MinedPattern, MiningOutcome, MiningParams, MiningStats, Pattern,
 };
 
 /// First line of a stream checkpoint.
@@ -140,12 +140,16 @@ pub(crate) fn encode(m: &StreamMiner) -> String {
         out.push('\n');
     }
     writeln!(out, "ledger {}", m.ledger.patterns.len()).expect("writing to a String cannot fail");
-    for (pat, row) in m.ledger.patterns.iter().zip(&m.ledger.contribs) {
+    // The ledger is held column-major (one column per window entry); the
+    // file keeps one line per pattern.
+    let rows = m.ledger.to_rows();
+    let window = m.window.len();
+    for (i, pat) in m.ledger.patterns.iter().enumerate() {
         write!(out, "l {}", pat.len()).expect("writing to a String cannot fail");
         for c in pat.cells() {
             write!(out, " {}", c.0).expect("writing to a String cannot fail");
         }
-        for &v in row {
+        for &v in &rows[i * window..(i + 1) * window] {
             write!(out, " {}", hex(v)).expect("writing to a String cannot fail");
         }
         out.push('\n');
@@ -317,7 +321,10 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
         ["ledger", v] => parse_int(v, ll, "ledger count")?,
         _ => return Err(err(ll, "expected 'ledger <count>'")),
     };
-    let mut ledger = Ledger::default();
+    let mut ledger = Ledger::new(params.min_prob.ln());
+    // Contributions as the file lists them, row-major; transposed into
+    // the ledger's columns once every row is read.
+    let mut rows: Vec<f64> = Vec::new();
     let mut singulars = vec![false; num_cells];
     for _ in 0..ledger_count {
         let line = next_line(&mut cur)?;
@@ -353,18 +360,16 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
         if pattern.is_singular() {
             singulars[pattern.cells()[0].index()] = true;
         }
-        let row: VecDeque<f64> = f[2 + ncells..]
-            .iter()
-            .map(|s| {
-                let v = parse_hex_f64(s, ln)?;
-                if !v.is_finite() {
-                    return Err(err(ln, "non-finite ledger contribution"));
-                }
-                Ok(v)
-            })
-            .collect::<Result<_, CheckpointError>>()?;
-        ledger.add(pattern, row);
+        for s in &f[2 + ncells..] {
+            let v = parse_hex_f64(s, ln)?;
+            if !v.is_finite() {
+                return Err(err(ln, "non-finite ledger contribution"));
+            }
+            rows.push(v);
+        }
+        ledger.track(pattern);
     }
+    ledger.fill_columns(&rows, window_count);
     if ledger_count > 0 && !singulars.iter().all(|&s| s) {
         return Err(err(
             cur.line(),
@@ -440,14 +445,20 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
     let mut stats = stats;
     stats.window_len = window.len();
     stats.ledger_patterns = ledger.patterns.len();
-    // The certifier is a pure membership index over the ledger, so it is
-    // derived rather than stored.
+    // The certifier is a pure membership index over the ledger, and each
+    // corridor table a function of its window entry, so both are derived
+    // rather than stored.
     let certifier = Some(trajpattern::SeedCertifier::new(&ledger.patterns));
+    let tables = window
+        .iter()
+        .map(|(_, t)| CorridorTable::build(t, &grid, params.delta, params.min_prob))
+        .collect();
     Ok(StreamMiner {
         grid,
         params,
         next_seq,
         window,
+        tables,
         ledger,
         certifier,
         last: MiningOutcome {
@@ -495,12 +506,14 @@ mod tests {
         assert_eq!(restored.stats, *m.stats());
         assert_eq!(restored.window.len(), m.window.len());
         assert_eq!(restored.ledger.patterns, m.ledger.patterns);
-        for (a, b) in restored.ledger.contribs.iter().zip(&m.ledger.contribs) {
+        assert_eq!(restored.ledger.cols.len(), m.ledger.cols.len());
+        for (a, b) in restored.ledger.cols.iter().zip(&m.ledger.cols) {
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+        assert_eq!(restored.tables.len(), restored.window.len());
         assert_eq!(restored.topk().len(), m.topk().len());
         for (a, b) in restored.topk().iter().zip(m.topk()) {
             assert_eq!(a.pattern, b.pattern);

@@ -32,11 +32,20 @@
 //! `trajpattern-checkpoint v2` file (window + ledger), reusing the v1
 //! error type and encoding conventions.
 //!
+//! Each window entry carries its corridor table
+//! ([`trajpattern::CorridorTable`]), built once when the trajectory
+//! arrives: the arrival's ledger delta scores through it, and a repair
+//! lends the whole window's tables to [`trajpattern::Scorer::with_tables`]
+//! instead of rebuilding them.
+//!
 //! Memory note: the ledger retains every pattern the growth has ever
-//! scored (that is what makes steady-state events pure deltas), so it is
-//! `O(scored patterns × window)`. For the paper-scale workloads this is
-//! a few thousand floats; a long-running deployment would add periodic
-//! ledger pruning at the cost of extra repairs.
+//! scored (that is what makes steady-state events pure deltas), so the
+//! miner holds `O(window × corridor cells + ledger × window)`: one
+//! corridor table per window entry (a few KB for a 20-snapshot trip) and
+//! one float per (ledger pattern, window entry). A live-serving shard
+//! (window 256, ledger ≈ 1200 patterns) holds ~300k ledger floats
+//! (≈ 2.4 MB) and ≈ 0.6 MB of tables; a long-running deployment would
+//! add periodic ledger pruning at the cost of extra repairs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,8 +57,8 @@ use trajdata::{Dataset, Trajectory};
 use trajgeo::fxhash::FxHashMap;
 use trajgeo::Grid;
 use trajpattern::{
-    certified_topk, effective_max_len_from, mine_seeded, MinedPattern, MiningParams, ParamsError,
-    Pattern, Scorer, SeedCertifier,
+    certified_topk, effective_max_len_from, mine_seeded, CorridorTable, MinedPattern, MiningParams,
+    ParamsError, Pattern, Scorer, SeedCertifier,
 };
 
 pub use checkpoint::{parse_checkpoint, STREAM_VERSION_LINE};
@@ -93,26 +102,121 @@ trajpattern::counter_stats! {
     }
 }
 
-/// Per-pattern contribution ledger: `contribs[i][j]` is `NM(patterns[i],
-/// window[j])`, kept aligned with the window deque. Folding a row in
-/// order reproduces the batch scorer's reduction bit-for-bit.
-#[derive(Default)]
+/// Per-pattern contribution ledger, stored column-major: `cols[j][i]` is
+/// `NM(patterns[i], window[j])`, one column per window entry, kept
+/// aligned with the window deque (an empty column while the ledger has no
+/// patterns). An arrival pushes one column, an eviction pops one, and an
+/// absorbed pattern appends one value to every column. Folding each row
+/// in window order reproduces the batch scorer's reduction bit-for-bit
+/// ([`Ledger::fold_nms`]).
 struct Ledger {
     patterns: Vec<Pattern>,
     index: FxHashMap<Pattern, usize>,
-    contribs: Vec<VecDeque<f64>>,
+    /// What each row subtracts from every contribution before adding it:
+    /// `floor_log` for singular rows, `+0.0` for the rest.
+    subtrahends: Vec<f64>,
+    cols: VecDeque<Vec<f64>>,
+    /// The column the last eviction dropped, kept to hold the next
+    /// arrival's, so a steady slide allocates no column.
+    spare: Option<Vec<f64>>,
+    floor_log: f64,
+}
+
+/// Spare room a ledger column keeps for absorbed patterns when it has to
+/// grow: enough for a few repairs, without doubling every column's
+/// capacity the way `Vec::push` would.
+fn column_headroom(len: usize) -> usize {
+    len / 16 + 8
 }
 
 impl Ledger {
+    /// An empty ledger whose singular rows fold around `floor_log`.
+    fn new(floor_log: f64) -> Ledger {
+        Ledger {
+            patterns: Vec::new(),
+            index: FxHashMap::default(),
+            subtrahends: Vec::new(),
+            cols: VecDeque::new(),
+            spare: None,
+            floor_log,
+        }
+    }
+
     fn contains(&self, p: &Pattern) -> bool {
         self.index.contains_key(p)
     }
 
-    fn add(&mut self, p: Pattern, contribs: VecDeque<f64>) {
+    /// Appends a row: `contribs[j]` is the pattern's NM over window entry
+    /// `j`.
+    fn add(&mut self, p: Pattern, contribs: &[f64]) {
+        debug_assert_eq!(contribs.len(), self.cols.len());
+        for (col, &c) in self.cols.iter_mut().zip(contribs) {
+            if col.len() == col.capacity() {
+                col.reserve_exact(column_headroom(col.len()));
+            }
+            col.push(c);
+        }
+        self.track(p);
+    }
+
+    /// Registers a row's pattern without touching the columns (the
+    /// checkpoint reader fills them all at once, [`Ledger::fill_columns`]).
+    fn track(&mut self, p: Pattern) {
         debug_assert!(!self.contains(&p));
+        self.subtrahends
+            .push(if p.is_singular() { self.floor_log } else { 0.0 });
         self.index.insert(p.clone(), self.patterns.len());
         self.patterns.push(p);
-        self.contribs.push(contribs);
+    }
+
+    /// Replaces the columns with `window` columns transposed from
+    /// row-major contributions: `rows[i * window + j]` is `patterns[i]`'s
+    /// NM over window entry `j`.
+    fn fill_columns(&mut self, rows: &[f64], window: usize) {
+        let n = self.patterns.len();
+        debug_assert_eq!(rows.len(), n * window);
+        self.cols = (0..window)
+            .map(|j| {
+                let mut col = Vec::with_capacity(n + column_headroom(n));
+                col.extend((0..n).map(|i| rows[i * window + j]));
+                col
+            })
+            .collect();
+    }
+
+    /// Appends the column of a window arrival: `values[i]` is
+    /// `patterns[i]`'s NM over it. The column reuses the last evicted
+    /// one's buffer and gets headroom for absorbed patterns whenever it
+    /// has to grow.
+    fn push_column(&mut self, values: &[f64]) {
+        debug_assert_eq!(values.len(), self.patterns.len());
+        let mut col = self.spare.take().unwrap_or_default();
+        col.clear();
+        if col.capacity() < values.len() {
+            col.reserve_exact(values.len() + column_headroom(values.len()));
+        }
+        col.extend_from_slice(values);
+        self.cols.push_back(col);
+    }
+
+    /// Drops the column of the oldest window entry, keeping its buffer
+    /// for the next arrival.
+    fn pop_column(&mut self) {
+        self.spare = self.cols.pop_front();
+    }
+
+    /// The contributions transposed to row-major, the inverse of
+    /// [`Ledger::fill_columns`]: entry `i * window + j` is `patterns[i]`'s
+    /// NM over window entry `j`. Reads each column once, in order.
+    fn to_rows(&self) -> Vec<f64> {
+        let window = self.cols.len();
+        let mut rows = vec![0.0; self.patterns.len() * window];
+        for (j, col) in self.cols.iter().enumerate() {
+            for (i, &c) in col.iter().enumerate() {
+                rows[i * window + j] = c;
+            }
+        }
+        rows
     }
 
     /// Exact NM of every ledger pattern over the current window (aligned
@@ -125,26 +229,22 @@ impl Ledger {
     /// not bit-equal, and for trajectories that never touch the cell
     /// `c == floor_log` exactly, so their `c − floor_log` terms are exact
     /// `+0.0` no-ops — matching `nm_all_singulars` skipping them.
-    fn fold_nms(&self, floor_log: f64) -> Vec<f64> {
-        self.patterns
-            .iter()
-            .zip(&self.contribs)
-            .map(|(p, row)| {
-                if p.is_singular() {
-                    let mut total = floor_log * row.len() as f64;
-                    for &c in row {
-                        total += c - floor_log;
-                    }
-                    total
-                } else {
-                    let mut total = 0.0;
-                    for &c in row {
-                        total += c;
-                    }
-                    total
-                }
-            })
-            .collect()
+    ///
+    /// One loop serves both kinds of row: every row starts at
+    /// `subtrahend·n` and adds `c − subtrahend` per entry, and a multi-cell
+    /// row's subtrahend is `+0.0`, for which `0.0·n == 0.0` and
+    /// `c − 0.0 == c` exactly. The columns are walked in window order and
+    /// each is added into the totals in one streaming pass, so every row
+    /// still takes its additions front to back.
+    fn fold_nms(&self) -> Vec<f64> {
+        let n = self.cols.len() as f64;
+        let mut totals: Vec<f64> = self.subtrahends.iter().map(|&s| s * n).collect();
+        for col in &self.cols {
+            for ((total, &c), &s) in totals.iter_mut().zip(col).zip(&self.subtrahends) {
+                *total += c - s;
+            }
+        }
+        totals
     }
 }
 
@@ -173,9 +273,13 @@ pub struct StreamMiner {
     params: MiningParams,
     next_seq: u64,
     window: VecDeque<(u64, Trajectory)>,
+    /// Each window entry's corridor table, aligned with `window`: built
+    /// once on arrival, dropped on eviction, lent to every scorer over
+    /// the window. Derived state — rebuilt from the window on resume.
+    tables: VecDeque<CorridorTable>,
     ledger: Ledger,
-    /// Membership index over `ledger.patterns`, rebuilt whenever a repair
-    /// changes ledger membership; `None` until the bootstrap mine.
+    /// Membership index over `ledger.patterns`, extended whenever a repair
+    /// absorbs new patterns; `None` until the bootstrap mine.
     certifier: Option<SeedCertifier>,
     last: MiningOutcome,
     stats: StreamStats,
@@ -192,12 +296,14 @@ impl StreamMiner {
     /// parameters (validated here, like [`trajpattern::Miner`]).
     pub fn new(grid: Grid, params: MiningParams) -> Result<StreamMiner, ParamsError> {
         params.validate()?;
+        let ledger = Ledger::new(params.min_prob.ln());
         Ok(StreamMiner {
             grid,
             params,
             next_seq: 0,
             window: VecDeque::new(),
-            ledger: Ledger::default(),
+            tables: VecDeque::new(),
+            ledger,
             certifier: None,
             last: MiningOutcome {
                 patterns: Vec::new(),
@@ -258,25 +364,35 @@ impl StreamMiner {
         let seq = self.next_seq;
         self.next_seq += 1;
 
-        // Delta-update the ledger: score every tracked pattern against the
-        // newcomer alone through the unified query API. The scorer's
-        // corridor table for the one trajectory already resolves patterns
-        // it never comes near to the floor constant, so no pattern index
-        // is built (rebuilding one over the whole ledger on every arrival
-        // cost more than it saved). A single-trajectory fold equals the
-        // raw per-trajectory contribution, so appending these keeps every
-        // ledger row bit-identical to what full-window scoring would
-        // produce for that trajectory index.
-        if !self.ledger.patterns.is_empty() {
+        // Build the arrival's corridor table once; it stays with the
+        // window entry and serves every later repair. Delta-update the
+        // ledger: score every tracked pattern against the newcomer alone
+        // through the unified query API. The table already resolves
+        // patterns the trajectory never comes near to the floor constant,
+        // so no pattern index is built. A single-trajectory fold equals
+        // the raw per-trajectory contribution, so the new column holds
+        // exactly what full-window scoring would produce for that
+        // trajectory index.
+        let table =
+            CorridorTable::build(&traj, &self.grid, self.params.delta, self.params.min_prob);
+        let nms = if self.ledger.patterns.is_empty() {
+            Vec::new()
+        } else {
             let single: Dataset = std::iter::once(traj.clone()).collect();
-            let scorer = Scorer::new(&single, &self.grid, self.params.delta, self.params.min_prob);
-            let nms = scorer.query(&self.ledger.patterns).run();
-            for (row, nm) in self.ledger.contribs.iter_mut().zip(nms) {
-                row.push_back(nm);
-            }
+            let scorer = Scorer::with_tables(
+                &single,
+                [&table],
+                &self.grid,
+                self.params.delta,
+                self.params.min_prob,
+                1,
+            )
+            .expect("the arrival's table is built under the miner's configuration");
             self.stats.deltas_applied += self.ledger.patterns.len() as u64;
-        }
-
+            scorer.query(&self.ledger.patterns).run()
+        };
+        self.ledger.push_column(&nms);
+        self.tables.push_back(table);
         self.window.push_back((seq, traj));
         self.stats.arrivals += 1;
         seq
@@ -287,9 +403,8 @@ impl StreamMiner {
         let mut dropped = 0;
         while self.window.front().is_some_and(|(s, _)| *s < seq) {
             self.window.pop_front();
-            for row in self.ledger.contribs.iter_mut() {
-                row.pop_front();
-            }
+            self.tables.pop_front();
+            self.ledger.pop_column();
             dropped += 1;
         }
         self.stats.evictions += dropped as u64;
@@ -394,7 +509,7 @@ impl StreamMiner {
             return;
         }
 
-        let nms = self.ledger.fold_nms(self.params.min_prob.ln());
+        let nms = self.ledger.fold_nms();
         let bootstrap = nms.is_empty();
 
         let longest = self.window.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
@@ -429,13 +544,15 @@ impl StreamMiner {
             .map(|(p, &nm)| MinedPattern::new(p.clone(), nm))
             .collect();
         let data: Dataset = self.window.iter().map(|(_, t)| t.clone()).collect();
-        let scorer = Scorer::with_threads(
+        let scorer = Scorer::with_tables(
             &data,
+            &self.tables,
             &self.grid,
             self.params.delta,
             self.params.min_prob,
             self.params.threads,
-        );
+        )
+        .expect("window tables are built under the miner's configuration");
         let out = mine_seeded(&scorer, &self.params, &seed)
             .expect("ledger maintains the seed invariants (all singulars, exact finite NMs)");
 
@@ -449,15 +566,20 @@ impl StreamMiner {
         }
 
         // Absorb newly scored patterns so the next event can answer for
-        // them by delta update alone, and rebuild the certifier's
-        // membership index over the (possibly grown) ledger.
+        // them by delta update alone, and extend the certifier's
+        // membership index with them.
+        let before = self.ledger.patterns.len();
         for m in &out.store {
             if !self.ledger.contains(&m.pattern) {
-                let contribs: VecDeque<f64> = scorer.nm_contributions(&m.pattern).into();
-                self.ledger.add(m.pattern.clone(), contribs);
+                let contribs = scorer.nm_contributions(&m.pattern);
+                self.ledger.add(m.pattern.clone(), &contribs);
             }
         }
-        self.certifier = Some(SeedCertifier::new(&self.ledger.patterns));
+        // Only the bootstrap finds no certifier, and the ledger is empty
+        // until then, so `before` is exactly what the certifier holds.
+        self.certifier
+            .get_or_insert_with(|| SeedCertifier::new(&[]))
+            .extend(&self.ledger.patterns[before..]);
         self.stats.ledger_patterns = self.ledger.patterns.len();
         let mut outcome = out.outcome;
         // Absorption scored more patterns; report the scorer's final tally.
@@ -624,6 +746,84 @@ mod tests {
         // top-k; the version must not move.
         m.evict_before(m.next_seq());
         assert_eq!(m.topk_version(), v + 1);
+    }
+
+    /// The row-major fold the column-major one replaced, over each row
+    /// read back out of the columns in window order.
+    fn row_major_fold(ledger: &Ledger, floor_log: f64) -> Vec<f64> {
+        let rows = ledger.to_rows();
+        let window = ledger.cols.len();
+        (0..ledger.patterns.len())
+            .map(|i| {
+                let row = &rows[i * window..(i + 1) * window];
+                if ledger.patterns[i].is_singular() {
+                    let mut total = floor_log * row.len() as f64;
+                    for &c in row {
+                        total += c - floor_log;
+                    }
+                    total
+                } else {
+                    let mut total = 0.0;
+                    for &c in row {
+                        total += c;
+                    }
+                    total
+                }
+            })
+            .collect()
+    }
+
+    /// A sweep along row `lane` of the 4×4 grid, reversed on odd lanes.
+    fn lane(lane: usize, jitter: f64) -> Trajectory {
+        let y = 0.125 + 0.25 * (lane % 4) as f64 + jitter;
+        Trajectory::new(
+            (0..4)
+                .map(|i| {
+                    let i = if lane % 2 == 1 { 3 - i } else { i };
+                    SnapshotPoint::new(Point2::new(0.125 + i as f64 * 0.25, y), 0.04).unwrap()
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn column_fold_equals_the_row_major_fold() {
+        let mut m = miner(3);
+        let floor = m.params().min_prob.ln();
+        let check = |m: &StreamMiner| {
+            assert_eq!(m.ledger.cols.len(), m.window.len());
+            assert_eq!(m.tables.len(), m.window.len());
+            let got: Vec<u64> = m.ledger.fold_nms().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = row_major_fold(&m.ledger, floor)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want);
+        };
+        let mut absorbs = 0;
+        for i in 0..24 {
+            let before = m.ledger.patterns.len();
+            let seq = m.push(lane(i / 3, 0.002 * (i % 3) as f64));
+            check(&m);
+            if before > 0 && m.ledger.patterns.len() > before {
+                absorbs += 1;
+            }
+            if m.evict_before(seq.saturating_sub(4)) > 0 {
+                check(&m);
+            }
+        }
+        assert!(absorbs > 0, "{:?}", m.stats());
+        assert!(m.stats().evictions > 0);
+        assert!(m.ledger.patterns.iter().any(|p| p.is_singular()));
+        assert!(m.ledger.patterns.iter().any(|p| !p.is_singular()));
+        // An emptied window folds every row over zero columns; refilling
+        // starts the columns again from the delta path.
+        m.evict_before(m.next_seq());
+        assert!(m.ledger.cols.is_empty());
+        check(&m);
+        m.push(lane(1, 0.0));
+        check(&m);
     }
 
     #[test]
