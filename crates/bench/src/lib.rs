@@ -2,10 +2,9 @@
 //!
 //! Each experiment is a library function returning a serializable result
 //! struct, driven by a binary (`exp_*`) that prints a human-readable table
-//! and writes JSON under `results/`. Criterion benches in `benches/`
-//! exercise the same code paths on reduced configurations for
-//! statistically robust *timing* numbers; the `exp_*` binaries produce the
-//! full paper-shaped sweeps.
+//! and writes JSON under `results/`. The live serving path (fleet, HTTP
+//! routes, freshness) is timed by the separate `perfbench` package, not
+//! here.
 //!
 //! Figure → module map (see DESIGN.md §4 and EXPERIMENTS.md):
 //!
@@ -17,8 +16,7 @@
 //! | Fig. 4(e) (groups vs δ) | [`fig4e`] |
 //! | Pruning ablation (ours) | [`ablation`] |
 //! | Streaming throughput (ours) | [`stream`] |
-//! | Serving throughput (ours) | [`serve`] |
-//! | Sharded live serving (ours) | [`fleet`] |
+//! | Query throughput, indexed vs brute force (ours) | [`query`] |
 
 #![forbid(unsafe_code)]
 
@@ -26,10 +24,8 @@ pub mod ablation;
 pub mod fig3;
 pub mod fig4;
 pub mod fig4e;
-pub mod fleet;
 pub mod lengths;
 pub mod query;
 pub mod report;
-pub mod serve;
 pub mod stream;
 pub mod workloads;

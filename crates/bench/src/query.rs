@@ -11,7 +11,7 @@
 //! indexed-vs-brute speedup, in the same `axis`/`config`/`points`
 //! envelope as the other experiments.
 
-use crate::serve::percentile_ms;
+use crate::report::percentile_ms;
 use serde::Serialize;
 use std::time::Instant;
 use trajgeo::Point2;

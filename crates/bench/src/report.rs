@@ -43,6 +43,15 @@ pub fn write_dat(name: &str, columns: &[&str], rows: &[Vec<f64>]) -> std::io::Re
     Ok(path.display().to_string())
 }
 
+/// Nearest-rank percentile `q` of ascending latencies (seconds), in
+/// milliseconds; `0` when there are none.
+pub(crate) fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[(((n - 1) as f64) * q).round() as usize] * 1e3,
+    }
+}
+
 /// Prints a fixed-width table row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells
@@ -72,6 +81,18 @@ mod tests {
     fn row_aligns() {
         let r = row(&["a".into(), "bb".into()], &[3, 4]);
         assert_eq!(r, "  a    bb");
+    }
+
+    #[test]
+    fn percentile_ms_is_nearest_rank_in_ms() {
+        assert_eq!(percentile_ms(&[], 0.5), 0.0);
+        assert_eq!(percentile_ms(&[0.25], 0.99), 250.0);
+        // Rank round((n - 1) * q) of 1 s, 2 s, ..., 100 s.
+        let secs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile_ms(&secs, 0.0), 1e3);
+        assert_eq!(percentile_ms(&secs, 0.5), 51e3);
+        assert_eq!(percentile_ms(&secs, 0.99), 99e3);
+        assert_eq!(percentile_ms(&secs, 1.0), 100e3);
     }
 
     #[test]

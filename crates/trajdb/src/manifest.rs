@@ -151,8 +151,9 @@ impl Manifest {
         };
         let active = field("active")?;
         let next_file = field("next_file")?;
-        let count = field("segments")? as usize;
-        let mut sealed = Vec::with_capacity(count);
+        // The declared count reserves nothing: each segment must have a line.
+        let count = field("segments")?;
+        let mut sealed = Vec::new();
         for _ in 0..count {
             let line = cursor
                 .next_line()

@@ -132,7 +132,9 @@ fn parse_payload(payload: &[u8], declared: u64) -> Result<Vec<(u64, Trajectory)>
         return Err("payload does not end with a newline".into());
     }
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-    let mut records = Vec::with_capacity(declared as usize);
+    // `declared` comes from the header, which the checksum does not cover,
+    // so nothing is reserved from it.
+    let mut records = Vec::new();
     for line in text.lines() {
         records.push(parse_record_line(line)?);
     }
@@ -219,10 +221,13 @@ pub fn scan_segment(
             return RecordStep::Corrupt;
         };
         let header_len = nl + 1;
-        if rest.len() < header_len + payload_len {
+        let Some(batch_len) = header_len.checked_add(payload_len) else {
+            return RecordStep::Corrupt;
+        };
+        if rest.len() < batch_len {
             return RecordStep::Incomplete;
         }
-        let payload = &rest[header_len..header_len + payload_len];
+        let payload = &rest[header_len..batch_len];
         if crc32(payload) != crc {
             return RecordStep::Corrupt;
         }

@@ -273,7 +273,9 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
         ["window", v] => parse_int(v, wl, "window count")?,
         _ => return Err(err(wl, "expected 'window <count>'")),
     };
-    let mut window: VecDeque<(u64, Trajectory)> = VecDeque::with_capacity(window_count);
+    // Counts below are read from the file: nothing is reserved from them,
+    // and no arithmetic on them may overflow.
+    let mut window: VecDeque<(u64, Trajectory)> = VecDeque::new();
     let mut prev_seq: Option<u64> = None;
     for _ in 0..window_count {
         let line = next_line(&mut cur)?;
@@ -291,7 +293,7 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
         }
         prev_seq = Some(seq);
         let npoints: usize = parse_int(f[2], ln, "point count")?;
-        if f.len() != 3 + npoints * 3 {
+        if npoints.checked_mul(3) != Some(f.len() - 3) {
             return Err(err(
                 ln,
                 format!(
@@ -334,7 +336,7 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
             return Err(err(ln, "malformed ledger entry"));
         }
         let ncells: usize = parse_int(f[1], ln, "cell count")?;
-        if f.len() != 2 + ncells + window_count {
+        if ncells.checked_add(window_count) != Some(f.len() - 2) {
             return Err(err(
                 ln,
                 format!(
@@ -401,7 +403,7 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
     if topk_count > params.k {
         return Err(err(tl, "checkpointed top-k exceeds k"));
     }
-    let mut topk: Vec<MinedPattern> = Vec::with_capacity(topk_count);
+    let mut topk: Vec<MinedPattern> = Vec::new();
     for _ in 0..topk_count {
         let line = next_line(&mut cur)?;
         let ln = cur.line();
@@ -410,7 +412,7 @@ pub(crate) fn decode(text: &str) -> Result<StreamMiner, CheckpointError> {
             return Err(err(ln, "malformed top-k entry"));
         }
         let ncells: usize = parse_int(f[1], ln, "cell count")?;
-        if f.len() != 3 + ncells {
+        if ncells != f.len() - 3 {
             return Err(err(ln, "top-k entry cell count mismatch"));
         }
         let cells: Vec<CellId> = f[2..2 + ncells]
