@@ -166,7 +166,7 @@ impl Manifest {
                 ));
             }
             let u = |i: usize, what: &str| parse_int::<u64>(fields[i], what);
-            sealed.push(SegmentMeta {
+            let meta = SegmentMeta {
                 file_no: u(1, "file_no").map_err(|e| codec(&cursor, e))?,
                 records: u(2, "records").map_err(|e| codec(&cursor, e))?,
                 batches: u(3, "batches").map_err(|e| codec(&cursor, e))?,
@@ -178,7 +178,23 @@ impl Manifest {
                 last_id: u(9, "last_id").map_err(|e| codec(&cursor, e))?,
                 first_t: u(10, "first_t").map_err(|e| codec(&cursor, e))?,
                 last_t: u(11, "last_t").map_err(|e| codec(&cursor, e))?,
-            });
+            };
+            // Recovery continues the sequence and the ids after the last
+            // sealed segment, so neither range may be inverted or end at
+            // `u64::MAX`.
+            if meta.first_seq > meta.last_seq || meta.last_seq == u64::MAX {
+                return Err(fail(
+                    &cursor,
+                    format!("bad seq range {}..={}", meta.first_seq, meta.last_seq),
+                ));
+            }
+            if meta.first_id > meta.last_id || meta.last_id == u64::MAX {
+                return Err(fail(
+                    &cursor,
+                    format!("bad id range {}..={}", meta.first_id, meta.last_id),
+                ));
+            }
+            sealed.push(meta);
         }
         match cursor.next_line() {
             Some("end") => {}

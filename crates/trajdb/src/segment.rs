@@ -241,6 +241,10 @@ pub fn scan_segment(
         let Ok(records) = parse_payload(payload, n) else {
             return RecordStep::Corrupt;
         };
+        // No batch can follow one numbered `u64::MAX`.
+        let Some(after) = seq.checked_add(1) else {
+            return RecordStep::Corrupt;
+        };
         let meta = BatchMeta {
             seq,
             t,
@@ -254,7 +258,7 @@ pub fn scan_segment(
             on_record(&meta, id, traj);
         }
         batches.push(meta);
-        next_seq = Some(seq + 1);
+        next_seq = Some(after);
         cursor += header_len + payload_len;
         RecordStep::Complete(header_len + payload_len)
     };

@@ -229,6 +229,8 @@ impl Store {
 
         // Scan the active segment: keep the committed-batch prefix,
         // physically truncate everything after it.
+        // `Manifest::decode` refuses a `last_seq` or `last_id` of
+        // `u64::MAX`, so the sealed `+ 1`s below cannot overflow.
         let first_active_seq = manifest.sealed.last().map(|s| s.last_seq + 1).unwrap_or(0);
         let active_path = dir.join(segment_file_name(manifest.active));
         let (active_batches, scan): (Vec<BatchMeta>, TailScan) = if active_path.exists() {
@@ -247,15 +249,24 @@ impl Store {
         recovery.verdict = scan.verdict;
         recovery.dropped_bytes = scan.verdict.dropped_bytes() as u64;
 
-        let next_seq = active_batches
-            .last()
-            .map(|b| b.seq + 1)
-            .unwrap_or(first_active_seq);
-        let next_id = active_batches
-            .last()
-            .map(|b| b.last_id + 1)
-            .or_else(|| manifest.sealed.last().map(|s| s.last_id + 1))
-            .unwrap_or(0);
+        let overflow = |what: &str| StoreError::Corrupt {
+            path: active_path.clone(),
+            message: format!("the last committed batch leaves no {what} to continue with"),
+        };
+        let next_seq = match active_batches.last() {
+            Some(b) => b
+                .seq
+                .checked_add(1)
+                .ok_or_else(|| overflow("sequence number"))?,
+            None => first_active_seq,
+        };
+        let next_id = match active_batches.last() {
+            Some(b) => b
+                .last_id
+                .checked_add(1)
+                .ok_or_else(|| overflow("record id"))?,
+            None => manifest.sealed.last().map(|s| s.last_id + 1).unwrap_or(0),
+        };
         let last_t = active_batches
             .last()
             .map(|b| b.t)

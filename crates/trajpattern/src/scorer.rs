@@ -21,14 +21,15 @@
 //!   ([`Scorer::nm_all_singulars`]): a singular's best window is its
 //!   row's best entry, so mining's first step and its scoring share one
 //!   corridor pass;
-//! - skips negligible-mass work while scoring: a pattern touching no
-//!   corridor cell of a trajectory contributes a constant depending only
-//!   on the pattern and trajectory lengths, replicated addition by
-//!   addition ([`untouched_window_mean`]) so the result is bit-identical
-//!   to the dense fold;
-//! - folds best-window sums row by row ([`best_window_mean_rows`]):
-//!   every window's sum takes the same additions in the same order as a
-//!   window-by-window scan, over contiguous slices;
+//! - scores each window-sum prefix once per trajectory
+//!   (`ScorerCore::score_shard`): the batch is visited in lexicographic
+//!   cell order, so patterns grown as `P'·P''` from a shared `P'` sit
+//!   together, and each pattern folds only the rows past the prefix it
+//!   shares with the previous one. Its last row goes straight into a
+//!   four-lane max over its windows. A prefix touching no corridor cell
+//!   of the trajectory is a constant, the fold of its floor terms. Every
+//!   window sum takes the additions of a window-by-window scan in the
+//!   same order, so each score is bit-identical to the dense fold;
 //! - scores whole candidate *batches* ([`Scorer::score_batch`]) by
 //!   partitioning trajectories into contiguous shards, evaluating shards on
 //!   scoped worker threads, and reducing the per-trajectory `NM(P, T)`
@@ -104,66 +105,131 @@ impl<'a> ScorerCore<'a> {
 
     /// The corridor rows of `cells` for one shard-local trajectory, in
     /// pattern order, into `out` (the shared all-floor row stands in for
-    /// cells the trajectory never comes near). Returns whether any cell
-    /// has a row of its own.
+    /// cells the trajectory never comes near).
     fn pattern_rows<'s>(
         &self,
         shard: &'s Shard<'_>,
         local: usize,
         cells: &[CellId],
         out: &mut Vec<&'s [f64]>,
-    ) -> bool {
+    ) {
         let table: &'s CorridorTable = &shard.tables[local];
-        let l = table.len();
+        let floor = &shard.floor[..table.len()];
         out.clear();
-        let mut near = false;
-        for c in cells {
-            match table.row(*c) {
-                Some(r) => {
-                    near = true;
-                    out.push(r);
-                }
-                None => out.push(&shard.floor[..l]),
-            }
-        }
-        near
-    }
-
-    /// Best-window mean of `cells` over one shard-local trajectory, read
-    /// from the corridor tables.
-    fn window_mean<'s>(
-        &self,
-        shard: &'s Shard<'_>,
-        local: usize,
-        cells: &[CellId],
-        bufs: &mut WindowBufs<'s>,
-    ) -> f64 {
-        if self.pattern_rows(shard, local, cells, &mut bufs.rows) {
-            best_window_mean_rows(&bufs.rows, self.floor_log, &mut bufs.sums)
-        } else {
-            untouched_window_mean(cells.len(), shard.tables[local].len(), self.floor_log)
-        }
+        out.extend(cells.iter().map(|&c| table.row(c).unwrap_or(floor)));
     }
 
     /// Scores every pattern of `batch` over one shard, handing each
-    /// per-trajectory contribution to `sink(pattern index, value)` in
-    /// (pattern, ascending local trajectory) order.
+    /// per-trajectory contribution to `sink(pattern index, local
+    /// trajectory, value)`. Within a trajectory the patterns are visited
+    /// in `order` (every batch index once; see [`visit_order`]), or as
+    /// given when it is `None`. Each window-sum prefix is folded once and
+    /// kept for the next pattern that starts with it, and a pattern's last
+    /// position is folded straight into its best window. A window's sum
+    /// is the left fold `((0 + r0[s]) + r1[s+1]) + …` of the pattern's
+    /// rows and the best window is the first strictly largest sum; why
+    /// every value is bit for bit that scan's:
+    ///
+    /// - (i) The fold of a prefix `P[..d]` is the first `d` steps of the
+    ///   fold of `P`. Level `d` of `levels` holds the `l − d + 1` window
+    ///   sums of the depth-`d` prefix of `held`, and a length-`m`
+    ///   pattern's window `s < l − m + 1` is one of the `l − d` windows
+    ///   its depth-`d` prefix computes. So a pattern folds only the rows
+    ///   past the prefix it shares with `held`, each extending level `d`
+    ///   to `d + 1` by one corridor row. A level whose prefix touches no
+    ///   corridor cell is not stored: each of its sums is the fold of `d`
+    ///   floor terms, `folds[d]`.
+    /// - (ii) The last position adds one row to level `m − 1`, and
+    ///   [`lane_max_sum`] takes the best of those sums as it forms them.
+    ///   When one side is a constant `c` (a row-less cell adds the floor;
+    ///   a row-less prefix sums to `folds[m − 1]`), the best sum is `c`
+    ///   plus the best of the other side: round-to-nearest addition of `c`
+    ///   is monotone, so `max_s fl(c + x_s) = fl(c + max_s x_s)`.
+    /// - (iii) [`lane_max`] and [`lane_max_sum`] keep four lanes of
+    ///   `x > acc` maxima. They give the same value as the serial
+    ///   first-strictly-largest scan except on a `+0.0`/`−0.0` tie, and
+    ///   both skip NaN. A tie cannot occur: every entry is `ln` of a value
+    ///   in `[min_prob, 1]` or the floor, and round-to-nearest addition of
+    ///   such values never gives `−0.0`. `SnapshotPoint::new` rejects
+    ///   non-finite input.
+    /// - (iv) Trajectories form the outer loop, so each pattern's
+    ///   contributions reach `sink` in ascending trajectory order.
     fn score_shard(
         &self,
         shard: &mut Shard<'_>,
         batch: &[Pattern],
+        order: Option<&[usize]>,
         kind: Measure,
-        mut sink: impl FnMut(usize, f64),
+        mut sink: impl FnMut(usize, usize, f64),
     ) {
         self.build_shard(shard);
         let shard: &Shard<'_> = shard;
-        let mut bufs = WindowBufs::default();
-        for (p, pattern) in batch.iter().enumerate() {
-            let m = pattern.len();
-            for local in 0..shard.len() {
-                let mean = self.window_mean(shard, local, pattern.cells(), &mut bufs);
+        let floor = self.floor_log;
+        let depth = batch.iter().map(Pattern::len).max().unwrap_or(0);
+        // Level `d` (from 1) starts at `(d − 1) · stride`; a pattern's
+        // last level is never stored.
+        let stride = shard.floor.len();
+        let mut levels = vec![0.0; depth.saturating_sub(1) * stride];
+        // `near[d]`: whether the depth-`d` prefix of `held` touches a
+        // corridor cell, so that level `d` is stored.
+        let mut near = vec![false; depth];
+        let mut folds = vec![0.0; depth + 1];
+        for d in 0..depth {
+            folds[d + 1] = folds[d] + floor;
+        }
+        for (local, table) in shard.tables.iter().enumerate() {
+            let l = table.len();
+            // The cells whose prefix levels are stored.
+            let mut held: &[CellId] = &[];
+            for i in 0..batch.len() {
+                let p = order.map_or(i, |order| order[i]);
+                let cells = batch[p].cells();
+                let m = cells.len();
+                let mean = if l < m {
+                    floor
+                } else {
+                    let (head, last) = (&cells[..m - 1], cells[m - 1]);
+                    let shared = held.iter().zip(head).take_while(|(a, b)| a == b).count();
+                    for (d, &cell) in head.iter().enumerate().skip(shared) {
+                        let row = table.row(cell);
+                        let (below, above) = levels.split_at_mut(d * stride);
+                        let next = &mut above[..l - d];
+                        match (near[d], row) {
+                            (true, Some(row)) => {
+                                let prev = &below[(d - 1) * stride..];
+                                for ((n, &s), &v) in next.iter_mut().zip(prev).zip(&row[d..]) {
+                                    *n = s + v;
+                                }
+                            }
+                            (true, None) => {
+                                let prev = &below[(d - 1) * stride..];
+                                for (n, &s) in next.iter_mut().zip(prev) {
+                                    *n = s + floor;
+                                }
+                            }
+                            (false, Some(row)) => {
+                                for (n, &v) in next.iter_mut().zip(&row[d..]) {
+                                    *n = folds[d] + v;
+                                }
+                            }
+                            (false, None) => {}
+                        }
+                        near[d + 1] = near[d] || row.is_some();
+                    }
+                    held = head;
+                    let d = m - 1;
+                    let sums = || &levels[(d - 1) * stride..][..l - d];
+                    let best = match (near[d], table.row(last)) {
+                        (true, Some(row)) => lane_max_sum(sums(), &row[d..]),
+                        (true, None) => lane_max(sums()) + floor,
+                        (false, Some(row)) => folds[d] + lane_max(&row[d..]),
+                        (false, None) => folds[m],
+                    };
+                    best / m as f64
+                };
                 sink(
                     p,
+                    local,
                     match kind {
                         Measure::Nm => mean,
                         // best window *sum* (not mean); the match
@@ -176,12 +242,17 @@ impl<'a> ScorerCore<'a> {
     }
 }
 
-/// Caller-owned buffers for [`ScorerCore::window_mean`], reused across
-/// calls: the pattern's rows and the per-window sums.
-#[derive(Default)]
-struct WindowBufs<'s> {
-    rows: Vec<&'s [f64]>,
-    sums: Vec<f64>,
+/// The order [`ScorerCore::score_shard`] visits `batch` in, or `None`
+/// for the given order. Sorted by cells, patterns that share a prefix sit
+/// next to each other. The sort pays for itself only when more than one
+/// trajectory reuses it: a stream arrival scores the whole ledger against
+/// one trajectory, and there the given order is kept (DESIGN.md §12).
+fn visit_order(batch: &[Pattern], trajectories: usize) -> Option<Vec<usize>> {
+    (trajectories > 1).then(|| {
+        let mut keyed: Vec<(&[CellId], usize)> = batch.iter().map(|p| p.cells()).zip(0..).collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, i)| i).collect()
+    })
 }
 
 /// Which measure a [`ScoreRequest`] computes.
@@ -633,19 +704,25 @@ impl<'a> Scorer<'a> {
         let mut shards = self.shards.borrow_mut();
         let core = self.core;
         let mut totals = vec![0.0; batch.len()];
+        let order = visit_order(batch, core.data.len());
         if let [shard] = &mut shards[..] {
             // No worker to isolate; the injection is consumed all the same.
             self.panic_injection.take();
             // Contributions arrive in ascending trajectory order per
             // pattern, so folding them on arrival is the sequential fold.
-            core.score_shard(shard, batch, kind, |p, c| totals[p] += c);
+            core.score_shard(shard, batch, order.as_deref(), kind, |p, _, c| {
+                totals[p] += c
+            });
             return totals;
         }
         // One flat buffer per shard, entry `p · locals + i` for pattern
         // `p` and local trajectory `i`.
         let per_shard = self.on_shards(&mut shards, |shard| {
-            let mut flat = Vec::with_capacity(batch.len() * shard.len());
-            core.score_shard(shard, batch, kind, |_, c| flat.push(c));
+            let locals = shard.len();
+            let mut flat = vec![0.0; batch.len() * locals];
+            core.score_shard(shard, batch, order.as_deref(), kind, |p, i, c| {
+                flat[p * locals + i] = c
+            });
             flat
         });
         // Deterministic reduction: fold per-trajectory contributions in
@@ -778,10 +855,13 @@ impl<'a> Scorer<'a> {
         let mut shards = self.shards.borrow_mut();
         let mut out = Vec::with_capacity(self.core.data.len());
         for shard in shards.iter_mut() {
-            self.core
-                .score_shard(shard, std::slice::from_ref(pattern), Measure::Nm, |_, c| {
-                    out.push(c)
-                });
+            self.core.score_shard(
+                shard,
+                std::slice::from_ref(pattern),
+                None,
+                Measure::Nm,
+                |_, _, c| out.push(c),
+            );
         }
         out
     }
@@ -862,10 +942,7 @@ impl<'a> Scorer<'a> {
         for shard in shards.iter() {
             for table in &shard.tables {
                 for (cell, row) in &table.rows {
-                    let best = row
-                        .iter()
-                        .fold(f64::NEG_INFINITY, |b, &v| if v > b { v } else { b });
-                    totals[cell.index()] += best - floor;
+                    totals[cell.index()] += lane_max(row) - floor;
                 }
             }
         }
@@ -952,43 +1029,55 @@ fn effective_threads(threads: usize) -> usize {
     }
 }
 
-/// Maximum over windows of the mean log probability (Eq. 3+4 for one
-/// trajectory) over the pattern's rows (`m = rows.len()` positions of
-/// equal length `l`). Window `start`'s sum is
-/// `((0 + rows[0][start]) + rows[1][start + 1]) + …` and the best window
-/// is the first strictly largest sum — the canonical fold order every
-/// scoring path replicates. The sums accumulate row by row into `sums`
-/// (a caller-owned buffer): the same additions per window in the same
-/// order, over contiguous slices. Returns `floor_log` if the trajectory is
-/// shorter than the pattern.
-fn best_window_mean_rows(rows: &[&[f64]], floor_log: f64, sums: &mut Vec<f64>) -> f64 {
-    let m = rows.len();
-    let l = rows[0].len();
-    if l < m {
-        return floor_log;
-    }
-    let windows = l - m + 1;
-    sums.clear();
-    sums.resize(windows, 0.0);
-    for (j, row) in rows.iter().enumerate() {
-        for (sum, &v) in sums.iter_mut().zip(&row[j..j + windows]) {
-            *sum += v;
+/// The largest of `sums` (`−∞` when empty).
+fn lane_max(sums: &[f64]) -> f64 {
+    lane_max_of(sums, sums, |x, _| x)
+}
+
+/// The largest `a[s] + b[s]` over `s < a.len()`, each sum formed as it is
+/// compared (`b` is at least as long as `a`).
+fn lane_max_sum(a: &[f64], b: &[f64]) -> f64 {
+    lane_max_of(a, b, |x, y| x + y)
+}
+
+/// The largest `f(a[s], b[s])` over `s < a.len()` (`−∞` when empty): four
+/// running maxima over the lanes of four-wide chunks, then the remainder,
+/// each kept by the serial scan's `v > best` test. The value is that
+/// scan's (see [`ScorerCore::score_shard`] for why window sums hold no
+/// `+0.0`/`−0.0` tie that could tell them apart).
+#[inline(always)]
+fn lane_max_of(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> f64 {
+    let b = &b[..a.len()];
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let (ca, cb) = (a.chunks_exact(4), b.chunks_exact(4));
+    let rest = ca.remainder().iter().zip(cb.remainder());
+    for (xs, ys) in ca.zip(cb) {
+        for ((lane, &x), &y) in lanes.iter_mut().zip(xs).zip(ys) {
+            let v = f(x, y);
+            if v > *lane {
+                *lane = v;
+            }
         }
     }
     let mut best = f64::NEG_INFINITY;
-    for &sum in sums.iter() {
-        if sum > best {
-            best = sum;
+    for v in lanes {
+        if v > best {
+            best = v;
         }
     }
-    best / m as f64
+    for (&x, &y) in rest {
+        let v = f(x, y);
+        if v > best {
+            best = v;
+        }
+    }
+    best
 }
 
-/// What [`best_window_mean_rows`] returns when every row entry is
-/// `floor_log` (the trajectory never comes near any pattern cell): all
-/// window sums are the same sequential fold of `m` floor terms, replicated
-/// here addition by addition so the result is bit-identical to the dense
-/// evaluation.
+/// A pattern's best-window mean over a trajectory that never comes near
+/// any of its cells (every row entry is `floor_log`): all window sums are
+/// the same sequential fold of `m` floor terms, replicated here addition
+/// by addition so the result is bit-identical to the dense evaluation.
 fn untouched_window_mean(m: usize, l: usize, floor_log: f64) -> f64 {
     if l < m {
         return floor_log;
@@ -1445,7 +1534,7 @@ mod tests {
         }
     }
 
-    /// The window-by-window scan the row-major fold replaced.
+    /// The window-by-window scan the prefix-shared kernel replaced.
     fn window_major(rows: &[&[f64]], floor_log: f64) -> f64 {
         let m = rows.len();
         let l = rows[0].len();
@@ -1465,44 +1554,178 @@ mod tests {
         best / m as f64
     }
 
+    /// `n` trajectories of 2–9 snapshots that stay in the lower-left
+    /// fifth of `bbox` with σ of at most 1% of its width, so the cells
+    /// of the opposite corner have no corridor row.
+    fn corner_data(n: usize, bbox: BBox, seed: u64) -> Dataset {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (w, h) = (bbox.width(), bbox.height());
+        (0..n)
+            .map(|i| {
+                let points = (0..2 + i % 8)
+                    .map(|_| {
+                        let x = bbox.min().x + w * rng.gen_range(0.0..0.2);
+                        let y = bbox.min().y + h * rng.gen_range(0.0..0.2);
+                        let sigma = w * rng.gen_range(0.0..0.01);
+                        SnapshotPoint::new(Point2::new(x, y), sigma).unwrap()
+                    })
+                    .collect();
+                Trajectory::new(points).unwrap()
+            })
+            .collect()
+    }
+
+    /// A batch in runs of shared prefixes: stems of 1–3 cells, each
+    /// extended to lengths 1–7 (longer than some trajectories), with
+    /// repeats. Cells come from `near` (the data's corridor) and `far`
+    /// (cells with no row), mixed within patterns.
+    fn prefix_runs(near: &[CellId], far: &[CellId], rng: &mut impl rand::Rng) -> Vec<Pattern> {
+        fn pick(near: &[CellId], far: &[CellId], rng: &mut impl rand::Rng) -> CellId {
+            let from = if rng.gen_range(0u32..3) == 0 {
+                far
+            } else {
+                near
+            };
+            from[rng.gen_range(0..from.len())]
+        }
+        let mut batch = Vec::new();
+        for _ in 0..12 {
+            let stem: Vec<CellId> = (0..rng.gen_range(1usize..4))
+                .map(|_| pick(near, far, rng))
+                .collect();
+            for _ in 0..rng.gen_range(1usize..7) {
+                let mut cells = stem.clone();
+                let m = rng.gen_range(1usize..8);
+                cells.truncate(m);
+                while cells.len() < m {
+                    cells.push(pick(near, far, rng));
+                }
+                batch.push(Pattern::new(cells).unwrap());
+                if rng.gen_range(0u32..5) == 0 {
+                    batch.push(batch[batch.len() - 1].clone());
+                }
+            }
+        }
+        // Patterns on far cells alone touch no corridor cell.
+        batch.push(Pattern::new(far[..far.len().min(3)].to_vec()).unwrap());
+        batch.push(Pattern::singular(far[0]));
+        batch
+    }
+
     #[test]
     fn row_major_fold_equals_the_window_major_scan() {
-        use rand::{Rng, SeedableRng};
-        let floor = (1e-12f64).ln();
+        // The prefix-shared kernel against the window-by-window scan of
+        // each pattern's table rows, bit for bit, for every measure,
+        // trajectory count, thread count and batch order.
+        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut sums = Vec::new();
-        for case in 0..400 {
-            let l = 1 + case % 12;
-            let m = 1 + (case / 12) % l.max(1);
-            let m = if case % 7 == 0 { l } else { m };
-            let rows: Vec<Vec<f64>> = (0..m)
-                .map(|_| {
-                    (0..l)
-                        .map(|_| match case % 4 {
-                            // Floor-only rows.
-                            0 => floor,
-                            // Few distinct values: many tied windows.
-                            1 => [floor, -0.5, -1.25][rng.gen_range(0usize..3)],
-                            _ => {
-                                if rng.gen_range(0u32..10) < 3 {
-                                    floor
-                                } else {
-                                    -rng.gen_range(0.0f64..30.0)
-                                }
+        for grid in kernel_grids() {
+            let bbox = grid.bbox();
+            let corner = |cell: CellId| {
+                let c = grid.center(cell);
+                (c.x - bbox.min().x) < 0.3 * bbox.width()
+                    && (c.y - bbox.min().y) < 0.3 * bbox.height()
+            };
+            let near: Vec<CellId> = grid.cells().filter(|&c| corner(c)).collect();
+            let far: Vec<CellId> = grid
+                .cells()
+                .filter(|&c| {
+                    let p = grid.center(c);
+                    (p.x - bbox.min().x) > 0.7 * bbox.width()
+                        && (p.y - bbox.min().y) > 0.5 * bbox.height()
+                })
+                .collect();
+            let delta = 0.05 * bbox.width();
+            let datasets = [
+                corner_data(1, bbox, 3),
+                corner_data(30, bbox, 4),
+                mixed_data(1, bbox, 5),
+                mixed_data(30, bbox, 6),
+            ];
+            for data in &datasets {
+                let floor = (1e-9f64).ln();
+                let tables = tables_for(data, &grid, delta, 1e-9);
+                let floor_row = [floor; 9];
+                let reference = |p: &Pattern, measure: Measure| -> Vec<f64> {
+                    tables
+                        .iter()
+                        .map(|table| {
+                            let rows: Vec<&[f64]> = p
+                                .cells()
+                                .iter()
+                                .map(|&c| table.row(c).unwrap_or(&floor_row[..table.len()]))
+                                .collect();
+                            let mean = window_major(&rows, floor);
+                            match measure {
+                                Measure::Nm => mean,
+                                Measure::Match => (mean * p.len() as f64).exp(),
                             }
                         })
                         .collect()
-                })
-                .collect();
-            let rows: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-            let want = window_major(&rows, floor);
-            let got = best_window_mean_rows(&rows, floor, &mut sums);
-            assert_eq!(got.to_bits(), want.to_bits(), "l = {l}, m = {m}");
+                };
+                for _ in 0..4 {
+                    let unsorted = prefix_runs(&near, &far, &mut rng);
+                    let mut sorted = unsorted.clone();
+                    sorted.sort();
+                    for batch in [&unsorted, &sorted] {
+                        for threads in [1, 3] {
+                            let s = Scorer::with_threads(data, &grid, delta, 1e-9, threads);
+                            assert_eq!(s.num_shards(), threads.min(data.len()));
+                            for measure in [Measure::Nm, Measure::Match] {
+                                let got = s.query(batch).measure(measure).run();
+                                for (p, g) in batch.iter().zip(&got) {
+                                    let mut want = 0.0;
+                                    for c in reference(p, measure) {
+                                        want += c;
+                                    }
+                                    assert_eq!(g.to_bits(), want.to_bits(), "{p}, {measure:?}");
+                                }
+                            }
+                            for p in batch.iter().step_by(7) {
+                                let want = reference(p, Measure::Nm);
+                                assert_eq!(bits(&s.nm_contributions(p)), bits(&want), "{p}");
+                            }
+                        }
+                    }
+                }
+            }
         }
-        // A pattern longer than the trajectory scores the floor.
-        let short = [floor, -1.0];
-        let rows: Vec<&[f64]> = vec![&short; 3];
-        assert_eq!(best_window_mean_rows(&rows, floor, &mut sums), floor);
+    }
+
+    #[test]
+    fn lane_max_equals_the_serial_scan() {
+        // Ties, NaN and the infinities, at every length from 0 to 9 so
+        // the remainder path runs with 0–3 entries; the sums take a
+        // longer second operand, as a row past a level's windows is.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let values = [-1.5, -0.25, 0.0, -30.0, f64::NEG_INFINITY, f64::NAN];
+        for len in 0..10 {
+            for _ in 0..200 {
+                let sums: Vec<f64> = (0..len)
+                    .map(|_| values[rng.gen_range(0..values.len())])
+                    .collect();
+                let addends: Vec<f64> = (0..len + 2)
+                    .map(|_| values[rng.gen_range(0..values.len())])
+                    .collect();
+                let (mut want, mut want_sum) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+                for (&x, &y) in sums.iter().zip(&addends) {
+                    if x > want {
+                        want = x;
+                    }
+                    if x + y > want_sum {
+                        want_sum = x + y;
+                    }
+                }
+                assert_eq!(lane_max(&sums).to_bits(), want.to_bits(), "{sums:?}");
+                assert_eq!(
+                    lane_max_sum(&sums, &addends).to_bits(),
+                    want_sum.to_bits(),
+                    "{sums:?} + {addends:?}"
+                );
+            }
+        }
     }
 
     #[test]

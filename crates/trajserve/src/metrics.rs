@@ -110,7 +110,8 @@ pub struct Metrics {
     pub rejected_busy: AtomicU64,
     /// Request handlers that panicked (each answered with a 500).
     pub panics: AtomicU64,
-    /// Successful snapshot hot-reloads and live per-shard swaps.
+    /// Successful snapshot hot-reloads and live per-shard swaps. A
+    /// watching server's first poll re-reads its file, and counts.
     pub reloads: AtomicU64,
     /// Failed snapshot hot-reload attempts.
     pub reload_failures: AtomicU64,

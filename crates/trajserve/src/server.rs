@@ -1096,7 +1096,11 @@ fn watch_loop(path: &Path, state: &ServeState, cfg: &ServerConfig, shutdown: &At
             .ok()
             .map(|m| (m.len(), m.modified().ok()))
     }
-    let mut last = fingerprint(path);
+    // No baseline: the caller loaded the served snapshot before this
+    // thread ran, and a fingerprint taken now could already include a
+    // rewrite made in between. So the first poll re-reads the file (and
+    // counts as a reload), and none is missed.
+    let mut last = None;
     let mut last_check = Instant::now();
     while !shutdown.load(Ordering::SeqCst) {
         thread::sleep(Duration::from_millis(25));

@@ -598,6 +598,53 @@ fn silent_connection_times_out_with_408() {
     stop(&handle, join);
 }
 
+/// Polls `/v1/topk` for up to 10 s until it answers `len` patterns;
+/// every answer on the way must be a 200.
+fn serves_topk_of_len(addr: SocketAddr, len: usize) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, body) = request(addr, "GET", "/v1/topk", None, &[]);
+        assert_eq!(status, 200, "server must keep serving during reload");
+        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        if v["patterns"].as_array().unwrap().len() == len {
+            return true;
+        }
+        if Instant::now() > deadline {
+            return false;
+        }
+        thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[test]
+fn watch_serves_a_rewrite_made_before_start() {
+    // The file is rewritten after the caller loaded it and before the
+    // server (and its watcher) starts: the rewrite must still be served.
+    let (snapshot, _) = mined();
+    assert!(snapshot.patterns.len() >= 2);
+    let dir = std::env::temp_dir().join(format!("trajserve-watch-early-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("snap.json");
+    std::fs::write(&path, snapshot.to_json_pretty()).unwrap();
+    let loaded = Snapshot::load(&path).unwrap();
+    let mut smaller = snapshot.clone();
+    smaller.patterns.truncate(1);
+    smaller.groups.clear();
+    std::fs::write(&path, smaller.to_json_pretty()).unwrap();
+
+    let cfg = ServerConfig {
+        watch: true,
+        watch_interval: Duration::from_millis(50),
+        snapshot_path: Some(path),
+        ..ServerConfig::default()
+    };
+    let (addr, handle, join) = start(loaded, cfg);
+    let reloaded = serves_topk_of_len(addr, 1);
+    stop(&handle, join);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(reloaded, "a rewrite made before start was never served");
+}
+
 #[test]
 fn watch_hot_reloads_rewritten_snapshot() {
     let (snapshot, _) = mined();
@@ -630,20 +677,10 @@ fn watch_hot_reloads_rewritten_snapshot() {
     smaller.groups.clear();
     std::fs::write(&path, smaller.to_json_pretty()).unwrap();
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let reloaded = loop {
-        let (status, body) = request(addr, "GET", "/v1/topk", None, &[]);
-        assert_eq!(status, 200, "server must keep serving during reload");
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
-        if v["patterns"].as_array().unwrap().len() == 1 {
-            break true;
-        }
-        if Instant::now() > deadline {
-            break false;
-        }
-        thread::sleep(Duration::from_millis(50));
-    };
-    assert!(reloaded, "snapshot rewrite was never picked up");
+    assert!(
+        serves_topk_of_len(addr, 1),
+        "snapshot rewrite was never picked up"
+    );
 
     let (_, metrics) = request(addr, "GET", "/metrics", None, &[]);
     let reloads = metrics

@@ -15,13 +15,18 @@ use trajstream::{parse_checkpoint, CheckpointError};
 /// A count no input of this size can hold, small enough not to overflow.
 const HUGE: &str = "99999999999999";
 
-/// The named fixture with its first `from` replaced by `to`.
-fn fixture_with(name: &str, from: &str, to: &str) -> String {
+/// The named fixture.
+fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()));
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()))
+}
+
+/// The named fixture with its first `from` replaced by `to`.
+fn fixture_with(name: &str, from: &str, to: &str) -> String {
+    let text = fixture(name);
     assert!(text.contains(from), "{name} has no '{from}'");
     text.replacen(from, to, 1)
 }
@@ -77,6 +82,40 @@ fn manifest_segment_count_reserves_nothing() {
         Manifest::decode(&text, Path::new("MANIFEST")),
         Err(StoreError::Manifest { .. })
     ));
+}
+
+/// Opens a store whose MANIFEST is the fixture's with its segment line
+/// `s 1 4 3 2154 50f96ed8 <first_seq last_seq first_id last_id> 0 3`
+/// replaced as given, beside the fixture segment: recovery must refuse
+/// the manifest, not overflow continuing the sequence or the ids.
+fn assert_store_refuses_ranges(name: &str, ranges: &str) {
+    let manifest = fixture_with(
+        "trajdb_manifest.txt",
+        " 0 2 0 3 0 3\n",
+        &format!(" {ranges} 0 3\n"),
+    );
+    let dir = std::env::temp_dir().join(format!("trajdeclared-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("MANIFEST"), manifest).unwrap();
+    std::fs::write(dir.join("seg-000001.log"), fixture("trajdb_segment.log")).unwrap();
+    let opened = trajdb::Store::open(&dir, trajdb::StoreOptions::default());
+    std::fs::remove_dir_all(&dir).ok();
+    match opened {
+        Err(StoreError::Manifest { .. }) => {}
+        Err(e) => panic!("expected a manifest error, got {e}"),
+        Ok(_) => panic!("a manifest with ranges {ranges} opened"),
+    }
+}
+
+#[test]
+fn manifest_last_seq_cannot_overflow_recovery() {
+    assert_store_refuses_ranges("seq", &format!("0 {} 0 3", u64::MAX));
+}
+
+#[test]
+fn manifest_last_id_cannot_overflow_recovery() {
+    assert_store_refuses_ranges("id", &format!("0 2 0 {}", u64::MAX));
 }
 
 /// Scans the fixture segment with one batch-header field replaced: the
