@@ -17,10 +17,14 @@
 //! | Pruning ablation (ours) | [`ablation`] |
 //! | Streaming throughput (ours) | [`stream`] |
 //! | Query throughput, indexed vs brute force (ours) | [`query`] |
+//!
+//! [`digest`] hashes every value the scorer and the growth engine decide
+//! over a fixed pool, so two builds can be compared bit for bit.
 
 #![forbid(unsafe_code)]
 
 pub mod ablation;
+pub mod digest;
 pub mod fig3;
 pub mod fig4;
 pub mod fig4e;

@@ -490,7 +490,7 @@ pub(crate) fn decode(text: &str, expected: &Fingerprint) -> Result<GrowthState, 
             cells.push(CellId(cell));
         }
         let pattern = Pattern::new(cells).ok_or_else(|| err(rline, "pattern with no positions"))?;
-        if store.id_of(&pattern).is_some() {
+        if store.id_of(pattern.cells()).is_some() {
             return Err(err(rline, "duplicate pattern in store"));
         }
         store.add(pattern, nm);

@@ -12,6 +12,13 @@
 //! benchmark's mining pool it proved almost no pattern far, so it only
 //! added its build and query cost (DESIGN.md §12).
 //!
+//! A pair allocates nothing unless it yields a new candidate. Each pair
+//! that survives the bound is concatenated into one reused buffer and
+//! looked up in the store and in the level's pending set by its cell
+//! slice (`Pattern: Borrow<[CellId]>`). The 1-extension test probes a
+//! pattern's sub-slices against a high set that borrows the store's
+//! cells (DESIGN.md §11).
+//!
 //! Because every caller shares [`grow_level`] *and* [`init_state`], a
 //! pruning decision (bound, τ, 1-extension) can never differ between the
 //! batch, seeded, resumed, and streaming paths: parity is true by
@@ -28,6 +35,7 @@ use crate::scorer::Scorer;
 use crate::topk::{select_top_k, ThresholdTracker};
 use std::fmt;
 use trajgeo::fxhash::{FxHashMap, FxHashSet};
+use trajgeo::CellId;
 
 pub use crate::algorithm::{MiningOutcome, MiningStats};
 
@@ -106,9 +114,10 @@ impl Store {
         id
     }
 
+    /// The id of the pattern with exactly these cells.
     #[inline]
-    pub(crate) fn id_of(&self, p: &Pattern) -> Option<u32> {
-        self.ids.get(p).copied()
+    pub(crate) fn id_of(&self, cells: &[CellId]) -> Option<u32> {
+        self.ids.get(cells).copied()
     }
 
     #[inline]
@@ -262,7 +271,7 @@ pub(crate) fn init_state(
                 // tie-breaking.
                 continue;
             }
-            if store.id_of(&m.pattern).is_some() {
+            if store.id_of(m.pattern.cells()).is_some() {
                 return Err(SeedError::Duplicate(m.pattern.to_string()));
             }
             let id = store.add(m.pattern.clone(), m.nm);
@@ -287,7 +296,7 @@ pub(crate) fn init_state(
     if params.min_len > 1 {
         let seeds: Vec<Pattern> = seed_patterns(scorer, params.min_len, params.k)
             .into_iter()
-            .filter(|p| store.id_of(p).is_none())
+            .filter(|p| store.id_of(p.cells()).is_none())
             .collect();
         let nms = scorer.query(&seeds).run();
         stats.candidates_scored += seeds.len() as u64;
@@ -382,7 +391,10 @@ pub(crate) fn grow_level(scorer: &Scorer<'_>, params: &MiningParams, state: &mut
     // refreshed them only after enumeration), so no pruning decision
     // inside the loop can depend on a score produced within it.
     let mut pending: Vec<Pattern> = Vec::new();
-    let mut pending_ids: FxHashMap<Pattern, usize> = FxHashMap::default();
+    let mut pending_ids: FxHashSet<Pattern> = FxHashSet::default();
+    // The pair's concatenation, probed by slice; only a new candidate
+    // copies it.
+    let mut cand: Vec<CellId> = Vec::new();
 
     // One candidate pair (ordered): bound-check, dedupe, enqueue.
     macro_rules! try_pair {
@@ -421,7 +433,9 @@ pub(crate) fn grow_level(scorer: &Scorer<'_>, params: &MiningParams, state: &mut
                         }
                     }
                     if !pruned {
-                        let cand = state.store.get(a).concat(state.store.get(b));
+                        cand.clear();
+                        cand.extend_from_slice(state.store.get(a).cells());
+                        cand.extend_from_slice(state.store.get(b).cells());
                         match state.store.id_of(&cand) {
                             Some(id) => {
                                 if state.q.insert(id) {
@@ -433,9 +447,11 @@ pub(crate) fn grow_level(scorer: &Scorer<'_>, params: &MiningParams, state: &mut
                                 // batch; dedupe within the batch so a
                                 // candidate reachable through several
                                 // pairs is scored once.
-                                if !pending_ids.contains_key(&cand) {
-                                    pending_ids.insert(cand.clone(), pending.len());
-                                    pending.push(cand);
+                                if !pending_ids.contains(cand.as_slice()) {
+                                    let p =
+                                        Pattern::new(cand.clone()).expect("pairs are non-empty");
+                                    pending_ids.insert(p.clone());
+                                    pending.push(p);
                                 }
                             }
                         }
@@ -488,18 +504,16 @@ pub(crate) fn grow_level(scorer: &Scorer<'_>, params: &MiningParams, state: &mut
 
     // Prune low patterns: keep only 1-extension lows above τ.
     if params.use_one_extension_prune {
-        let high_patterns: FxHashSet<Pattern> = high_new
-            .iter()
-            .map(|&id| state.store.get(id).clone())
-            .collect();
+        let store = &state.store;
+        let high_cells: FxHashSet<&[CellId]> =
+            high_new.iter().map(|&id| store.get(id).cells()).collect();
         let omega_snapshot = state.omega;
         let nm_best = state.nm_best;
-        let store = &state.store;
         state.q.retain(|&id| {
             if high_new.contains(&id) {
                 return true;
             }
-            if !is_one_extension(store.get(id), &high_patterns) {
+            if !is_one_extension(store.get(id).cells(), &high_cells) {
                 return false;
             }
             !params.use_bound_prune
@@ -664,5 +678,60 @@ mod tests {
         assert_eq!(batch.high, seeded.high);
         assert_eq!(batch.fresh, seeded.fresh);
         assert_eq!(batch.nm_best.to_bits(), seeded.nm_best.to_bits());
+    }
+
+    #[test]
+    fn a_level_scores_each_new_candidate_once_and_lists_fresh_in_order() {
+        // k exceeds the seed, so ω is unset and every pattern is high:
+        // the level tries every pair within the length cap. (x·y)·z and
+        // x·(y·z) both reach x·y·z, and z·x, taken out of Q, is re-admitted
+        // through the pair z·x.
+        let (data, grid) = sweep_data(5, 0.05);
+        let params = MiningParams::new(64, 0.1).unwrap();
+        let scorer = Scorer::new(&data, &grid, params.delta, params.min_prob);
+        let pat =
+            |ids: &[u32]| Pattern::new(ids.iter().map(|&i| trajgeo::CellId(i)).collect()).unwrap();
+        let singular_nms = scorer.nm_all_singulars();
+        let mut seed: Vec<MinedPattern> = grid
+            .cells()
+            .map(|c| MinedPattern::new(Pattern::singular(c), singular_nms[c.index()]))
+            .collect();
+        let (xy, yz, zx, xyz) = (pat(&[8, 9]), pat(&[9, 10]), pat(&[10, 8]), pat(&[8, 9, 10]));
+        for p in [&xy, &yz, &zx] {
+            seed.push(MinedPattern::new(p.clone(), scorer.nm(p)));
+        }
+        let mut state = init_state(&scorer, &params, &seed).unwrap();
+        assert!(state.omega.is_infinite());
+        let zx_id = state.store.id_of(zx.cells()).unwrap();
+        state.q.remove(&zx_id);
+        state.high.remove(&zx_id);
+        state.fresh.retain(|&id| id != zx_id);
+
+        let first_new = state.store.count();
+        let evaluations = scorer.evaluations();
+        grow_level(&scorer, &params, &mut state);
+        let count = state.store.count();
+
+        // Every new candidate got one id and one score.
+        let distinct: FxHashSet<&Pattern> = state.store.patterns().iter().collect();
+        assert_eq!(distinct.len(), count);
+        assert_eq!(state.stats.candidates_scored, (count - first_new) as u64);
+        assert_eq!(
+            scorer.evaluations() - evaluations,
+            (count - first_new) as u64
+        );
+        let xyz_id = state.store.id_of(xyz.cells()).unwrap();
+        assert!(xyz_id as usize >= first_new);
+        for id in first_new as u32..count as u32 {
+            let p = state.store.get(id);
+            assert_eq!(state.store.nm(id).to_bits(), scorer.nm(p).to_bits(), "{p}");
+        }
+        // `fresh`: the re-admitted old ids, then the new ids in
+        // enumeration (= id) order, each once.
+        let split = state.fresh.len() - (count - first_new);
+        let (old, new) = state.fresh.split_at(split);
+        assert_eq!(old, [zx_id]);
+        assert!(new.iter().copied().eq(first_new as u32..count as u32));
+        assert_eq!(state.fresh.iter().filter(|&&id| id == xyz_id).count(), 1);
     }
 }

@@ -1,5 +1,6 @@
 //! Trajectory patterns: ordered lists of grid-cell positions (§3.3).
 
+use std::borrow::Borrow;
 use std::fmt;
 use trajgeo::{CellId, Grid, Point2};
 
@@ -10,6 +11,15 @@ use trajgeo::{CellId, Grid, Point2};
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pattern {
     cells: Vec<CellId>,
+}
+
+/// The derived `Hash` and `Eq` of a pattern's one `Vec<CellId>` field are
+/// those of its cell slice, so a set or map of patterns can be probed by
+/// cells without building a pattern.
+impl Borrow<[CellId]> for Pattern {
+    fn borrow(&self) -> &[CellId] {
+        &self.cells
+    }
 }
 
 impl Pattern {

@@ -7,72 +7,67 @@
 //! of a high pattern with either a high pattern or a 1-extension low
 //! pattern.
 
-use crate::pattern::Pattern;
 use trajgeo::fxhash::FxHashSet;
+use trajgeo::CellId;
 
-/// Whether `p` satisfies the 1-extension property with respect to the set
-/// of high patterns `high` (Definition 5): any singular pattern qualifies;
-/// a longer pattern qualifies iff dropping its first **or** last position
-/// yields a member of `high`.
-pub fn is_one_extension(p: &Pattern, high: &FxHashSet<Pattern>) -> bool {
-    if p.is_singular() {
-        return true;
+/// Whether the pattern with `cells` satisfies the 1-extension property
+/// with respect to the cells of the high patterns, `high` (Definition
+/// 5): any singular pattern qualifies; a longer pattern qualifies iff
+/// dropping its first **or** last position yields a member of `high`.
+pub fn is_one_extension(cells: &[CellId], high: &FxHashSet<&[CellId]>) -> bool {
+    match cells {
+        [] => false,
+        [_] => true,
+        [head @ .., _] if high.contains(head) => true,
+        [_, tail @ ..] => high.contains(tail),
     }
-    if let Some(head) = p.drop_last() {
-        if high.contains(&head) {
-            return true;
-        }
-    }
-    if let Some(tail) = p.drop_first() {
-        if high.contains(&tail) {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trajgeo::CellId;
 
-    fn pat(ids: &[u32]) -> Pattern {
-        Pattern::new(ids.iter().map(|&i| CellId(i)).collect()).unwrap()
+    fn cells(ids: &[u32]) -> Vec<CellId> {
+        ids.iter().map(|&i| CellId(i)).collect()
     }
 
-    fn high_set(patterns: &[&[u32]]) -> FxHashSet<Pattern> {
-        patterns.iter().map(|ids| pat(ids)).collect()
+    fn high_set(patterns: &[Vec<CellId>]) -> FxHashSet<&[CellId]> {
+        patterns.iter().map(Vec::as_slice).collect()
     }
 
     #[test]
     fn singulars_always_qualify() {
         let high = high_set(&[]);
-        assert!(is_one_extension(&pat(&[5]), &high));
+        assert!(is_one_extension(&cells(&[5]), &high));
     }
 
     #[test]
     fn prefix_high_qualifies() {
         // Figure 2(a): the pattern's (j-1)-prefix is high.
-        let high = high_set(&[&[1, 2]]);
-        assert!(is_one_extension(&pat(&[1, 2, 3]), &high));
+        let members = [cells(&[1, 2])];
+        let high = high_set(&members);
+        assert!(is_one_extension(&cells(&[1, 2, 3]), &high));
     }
 
     #[test]
     fn suffix_high_qualifies() {
-        let high = high_set(&[&[2, 3]]);
-        assert!(is_one_extension(&pat(&[1, 2, 3]), &high));
+        let members = [cells(&[2, 3])];
+        let high = high_set(&members);
+        assert!(is_one_extension(&cells(&[1, 2, 3]), &high));
     }
 
     #[test]
     fn interior_high_subpattern_does_not_qualify() {
         // Figure 2(b): only *first-or-last-removed* sub-patterns count.
-        let high = high_set(&[&[2]]);
-        assert!(!is_one_extension(&pat(&[1, 2, 3]), &high));
+        let members = [cells(&[2])];
+        let high = high_set(&members);
+        assert!(!is_one_extension(&cells(&[1, 2, 3]), &high));
     }
 
     #[test]
     fn no_high_subpattern_fails() {
-        let high = high_set(&[&[7, 8]]);
-        assert!(!is_one_extension(&pat(&[1, 2, 3]), &high));
+        let members = [cells(&[7, 8])];
+        let high = high_set(&members);
+        assert!(!is_one_extension(&cells(&[1, 2, 3]), &high));
     }
 }

@@ -30,6 +30,12 @@
 //!   of the trajectory is a constant, the fold of its floor terms. Every
 //!   window sum takes the additions of a window-by-window scan in the
 //!   same order, so each score is bit-identical to the dense fold;
+//! - computes each value once per thing it depends on: a batch plan, built
+//!   once per scoring call, renumbers the batch's cells to batch-local
+//!   ids, so each distinct cell's corridor row is looked up once per
+//!   trajectory, and the best window of a prefix whose last cell has no
+//!   row (or of a row whose prefix touches none) is memoised for the
+//!   trajectory;
 //! - scores whole candidate *batches* ([`Scorer::score_batch`]) by
 //!   partitioning trajectories into contiguous shards, evaluating shards on
 //!   scoped worker threads, and reducing the per-trajectory `NM(P, T)`
@@ -119,11 +125,10 @@ impl<'a> ScorerCore<'a> {
         out.extend(cells.iter().map(|&c| table.row(c).unwrap_or(floor)));
     }
 
-    /// Scores every pattern of `batch` over one shard, handing each
+    /// Scores every pattern of `plan` over one shard, handing each
     /// per-trajectory contribution to `sink(pattern index, local
     /// trajectory, value)`. Within a trajectory the patterns are visited
-    /// in `order` (every batch index once; see [`visit_order`]), or as
-    /// given when it is `None`. Each window-sum prefix is folded once and
+    /// in the plan's order. Each window-sum prefix is folded once and
     /// kept for the next pattern that starts with it, and a pattern's last
     /// position is folded straight into its best window. A window's sum
     /// is the left fold `((0 + r0[s]) + r1[s+1]) + …` of the pattern's
@@ -154,21 +159,39 @@ impl<'a> ScorerCore<'a> {
     ///   non-finite input.
     /// - (iv) Trajectories form the outer loop, so each pattern's
     ///   contributions reach `sink` in ascending trajectory order.
+    /// - (v) Each value is computed once per thing it depends on. A row
+    ///   depends on (trajectory, cell) alone, so `rows` resolves once per
+    ///   trajectory each distinct cell of the patterns no longer than it
+    ///   (the only ones it folds): the same pure `table.row(c)` lookup,
+    ///   moved. The one-sided maxima of (ii) are
+    ///   memoised, and a memoised maximum is the value the same
+    ///   [`lane_max`] call returned earlier, on the same trajectory, over
+    ///   a buffer not written since. `level_max[d]` is `lane_max` of level
+    ///   `d`'s first `l − d` sums, the ones every length-`d + 1` pattern
+    ///   reads; it is cleared whenever level `d` is rewritten, for every
+    ///   `d > shared`. A trajectory starts with `held` empty, so every
+    ///   level read on it was written, and its memo cleared, on it.
+    ///   `suffix_max[u · depth + d]` is `lane_max(row[d..])` of local cell
+    ///   `u`'s row, which depends on (trajectory, cell, `d`) alone and is
+    ///   reset per trajectory.
     fn score_shard(
         &self,
         shard: &mut Shard<'_>,
-        batch: &[Pattern],
-        order: Option<&[usize]>,
+        plan: &BatchPlan,
         kind: Measure,
         mut sink: impl FnMut(usize, usize, f64),
     ) {
         self.build_shard(shard);
         let shard: &Shard<'_> = shard;
         let floor = self.floor_log;
-        let depth = batch.iter().map(Pattern::len).max().unwrap_or(0);
+        // No trajectory of the shard is longer than `stride`, so no
+        // pattern longer than that is folded (it scores the floor), and
+        // no depth read below exceeds `depth`: however long a pattern,
+        // the scratch stays within the shard's longest trajectory.
+        let stride = shard.floor.len();
+        let depth = plan.depth().min(stride);
         // Level `d` (from 1) starts at `(d − 1) · stride`; a pattern's
         // last level is never stored.
-        let stride = shard.floor.len();
         let mut levels = vec![0.0; depth.saturating_sub(1) * stride];
         // `near[d]`: whether the depth-`d` prefix of `held` touches a
         // corridor cell, so that level `d` is stored.
@@ -177,21 +200,31 @@ impl<'a> ScorerCore<'a> {
         for d in 0..depth {
             folds[d + 1] = folds[d] + floor;
         }
+        // The memoised maxima of (v); NaN marks one not yet computed
+        // ([`lane_max`] never returns NaN).
+        let mut level_max = vec![f64::NAN; depth];
+        let mut suffix_max = vec![f64::NAN; plan.reach[depth] * depth];
+        let mut rows: Vec<Option<&[f64]>> = Vec::with_capacity(plan.reach[depth]);
         for (local, table) in shard.tables.iter().enumerate() {
             let l = table.len();
-            // The cells whose prefix levels are stored.
-            let mut held: &[CellId] = &[];
-            for i in 0..batch.len() {
-                let p = order.map_or(i, |order| order[i]);
-                let cells = batch[p].cells();
+            // The cells of the patterns this trajectory can hold.
+            let reach = plan.reach[l.min(depth)];
+            rows.clear();
+            rows.extend(plan.distinct[..reach].iter().map(|&cell| table.row(cell)));
+            suffix_max[..reach * depth].fill(f64::NAN);
+            // The local cells whose prefix levels are stored.
+            let mut held: &[u32] = &[];
+            for (i, span) in plan.bounds.windows(2).enumerate() {
+                let p = plan.order.as_ref().map_or(i, |order| order[i]);
+                let cells = &plan.cells[span[0]..span[1]];
                 let m = cells.len();
                 let mean = if l < m {
                     floor
                 } else {
-                    let (head, last) = (&cells[..m - 1], cells[m - 1]);
+                    let (head, last) = (&cells[..m - 1], cells[m - 1] as usize);
                     let shared = held.iter().zip(head).take_while(|(a, b)| a == b).count();
-                    for (d, &cell) in head.iter().enumerate().skip(shared) {
-                        let row = table.row(cell);
+                    for (d, &u) in head.iter().enumerate().skip(shared) {
+                        let row = rows[u as usize];
                         let (below, above) = levels.split_at_mut(d * stride);
                         let next = &mut above[..l - d];
                         match (near[d], row) {
@@ -215,14 +248,18 @@ impl<'a> ScorerCore<'a> {
                             (false, None) => {}
                         }
                         near[d + 1] = near[d] || row.is_some();
+                        level_max[d + 1] = f64::NAN;
                     }
                     held = head;
                     let d = m - 1;
                     let sums = || &levels[(d - 1) * stride..][..l - d];
-                    let best = match (near[d], table.row(last)) {
+                    let best = match (near[d], rows[last]) {
                         (true, Some(row)) => lane_max_sum(sums(), &row[d..]),
-                        (true, None) => lane_max(sums()) + floor,
-                        (false, Some(row)) => folds[d] + lane_max(&row[d..]),
+                        (true, None) => memo(&mut level_max[d], || lane_max(sums())) + floor,
+                        (false, Some(row)) => {
+                            folds[d]
+                                + memo(&mut suffix_max[last * depth + d], || lane_max(&row[d..]))
+                        }
                         (false, None) => folds[m],
                     };
                     best / m as f64
@@ -242,17 +279,98 @@ impl<'a> ScorerCore<'a> {
     }
 }
 
-/// The order [`ScorerCore::score_shard`] visits `batch` in, or `None`
-/// for the given order. Sorted by cells, patterns that share a prefix sit
-/// next to each other. The sort pays for itself only when more than one
-/// trajectory reuses it: a stream arrival scores the whole ledger against
-/// one trajectory, and there the given order is kept (DESIGN.md §12).
-fn visit_order(batch: &[Pattern], trajectories: usize) -> Option<Vec<usize>> {
-    (trajectories > 1).then(|| {
-        let mut keyed: Vec<(&[CellId], usize)> = batch.iter().map(|p| p.cells()).zip(0..).collect();
-        keyed.sort_unstable();
-        keyed.into_iter().map(|(_, i)| i).collect()
-    })
+/// What [`ScorerCore::score_shard`] needs of a batch, built once per
+/// scoring call and shared read-only by every shard.
+#[derive(Debug)]
+struct BatchPlan {
+    /// `order[i]`: the batch index of the `i`-th pattern visited; `None`
+    /// visits the batch in its given order.
+    order: Option<Vec<usize>>,
+    /// The `i`-th visited pattern's cells, as indices into `distinct`,
+    /// are `cells[bounds[i]..bounds[i + 1]]`.
+    cells: Vec<u32>,
+    bounds: Vec<usize>,
+    /// The batch's distinct cells, by batch-local id. Ids go to cells in
+    /// order of the shortest pattern naming them, so the cells of the
+    /// patterns of at most `n` positions are `distinct[..reach[n]]`.
+    distinct: Vec<CellId>,
+    reach: Vec<usize>,
+}
+
+impl BatchPlan {
+    /// Plans `batch` for a scorer over `trajectories` trajectories. The
+    /// visit order sorts by cells, so patterns that share a prefix sit
+    /// next to each other. The sort pays for itself only when more than
+    /// one trajectory reuses it: a stream arrival scores the whole ledger
+    /// against one trajectory, and there the given order is kept
+    /// (DESIGN.md §12).
+    fn new(batch: &[Pattern], trajectories: usize) -> BatchPlan {
+        let order = (trajectories > 1).then(|| {
+            let mut keyed: Vec<(&[CellId], usize)> =
+                batch.iter().map(|p| p.cells()).zip(0..).collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, i)| i).collect::<Vec<_>>()
+        });
+        // One hash per position: number the cells as they are met, and
+        // note the shortest pattern naming each.
+        let mut ids: FxHashMap<CellId, u32> = FxHashMap::default();
+        let (mut met, mut shortest) = (Vec::new(), Vec::new());
+        let mut cells = Vec::with_capacity(batch.iter().map(Pattern::len).sum());
+        let mut bounds = Vec::with_capacity(batch.len() + 1);
+        bounds.push(0);
+        for i in 0..batch.len() {
+            let p = batch[order.as_ref().map_or(i, |order| order[i])].cells();
+            for &cell in p {
+                let u = *ids.entry(cell).or_insert_with(|| {
+                    met.push(cell);
+                    shortest.push(p.len());
+                    met.len() as u32 - 1
+                });
+                shortest[u as usize] = shortest[u as usize].min(p.len());
+                cells.push(u);
+            }
+            bounds.push(cells.len());
+        }
+        // Renumber by the shortest pattern naming each cell.
+        let mut by_shortest: Vec<u32> = (0..met.len() as u32).collect();
+        by_shortest.sort_by_key(|&u| shortest[u as usize]);
+        let mut rank = vec![0; met.len()];
+        for (new, &old) in (0..).zip(&by_shortest) {
+            rank[old as usize] = new;
+        }
+        for u in &mut cells {
+            *u = rank[*u as usize];
+        }
+        let depth = batch.iter().map(Pattern::len).max().unwrap_or(0);
+        let mut reach = vec![0; depth + 1];
+        for &n in &shortest {
+            reach[n] += 1;
+        }
+        for n in 1..=depth {
+            reach[n] += reach[n - 1];
+        }
+        BatchPlan {
+            order,
+            cells,
+            bounds,
+            distinct: by_shortest.iter().map(|&u| met[u as usize]).collect(),
+            reach,
+        }
+    }
+
+    /// The longest pattern's length.
+    fn depth(&self) -> usize {
+        self.reach.len() - 1
+    }
+}
+
+/// `slot`'s value, computed by `f` first when it is NaN (not yet known).
+#[inline(always)]
+fn memo(slot: &mut f64, f: impl FnOnce() -> f64) -> f64 {
+    if slot.is_nan() {
+        *slot = f();
+    }
+    *slot
 }
 
 /// Which measure a [`ScoreRequest`] computes.
@@ -695,34 +813,28 @@ impl<'a> Scorer<'a> {
         if batch.is_empty() {
             return Vec::new();
         }
-        {
-            let mut touched = self.touched.borrow_mut();
-            for pattern in batch {
-                touched.extend(pattern.cells().iter().copied());
-            }
-        }
-        let mut shards = self.shards.borrow_mut();
         let core = self.core;
+        let plan = BatchPlan::new(batch, core.data.len());
+        self.touched
+            .borrow_mut()
+            .extend(plan.distinct.iter().copied());
+        let mut shards = self.shards.borrow_mut();
         let mut totals = vec![0.0; batch.len()];
-        let order = visit_order(batch, core.data.len());
         if let [shard] = &mut shards[..] {
             // No worker to isolate; the injection is consumed all the same.
             self.panic_injection.take();
             // Contributions arrive in ascending trajectory order per
             // pattern, so folding them on arrival is the sequential fold.
-            core.score_shard(shard, batch, order.as_deref(), kind, |p, _, c| {
-                totals[p] += c
-            });
+            core.score_shard(shard, &plan, kind, |p, _, c| totals[p] += c);
             return totals;
         }
         // One flat buffer per shard, entry `p · locals + i` for pattern
         // `p` and local trajectory `i`.
+        let plan = &plan;
         let per_shard = self.on_shards(&mut shards, |shard| {
             let locals = shard.len();
             let mut flat = vec![0.0; batch.len() * locals];
-            core.score_shard(shard, batch, order.as_deref(), kind, |p, i, c| {
-                flat[p * locals + i] = c
-            });
+            core.score_shard(shard, plan, kind, |p, i, c| flat[p * locals + i] = c);
             flat
         });
         // Deterministic reduction: fold per-trajectory contributions in
@@ -849,19 +961,15 @@ impl<'a> Scorer<'a> {
     /// a [`PatternIndex`](crate::index::PatternIndex).
     pub fn nm_contributions(&self, pattern: &Pattern) -> Vec<f64> {
         self.evaluations.set(self.evaluations.get() + 1);
+        let plan = BatchPlan::new(std::slice::from_ref(pattern), self.core.data.len());
         self.touched
             .borrow_mut()
-            .extend(pattern.cells().iter().copied());
+            .extend(plan.distinct.iter().copied());
         let mut shards = self.shards.borrow_mut();
         let mut out = Vec::with_capacity(self.core.data.len());
         for shard in shards.iter_mut() {
-            self.core.score_shard(
-                shard,
-                std::slice::from_ref(pattern),
-                None,
-                Measure::Nm,
-                |_, _, c| out.push(c),
-            );
+            self.core
+                .score_shard(shard, &plan, Measure::Nm, |_, _, c| out.push(c));
         }
         out
     }
@@ -872,7 +980,8 @@ impl<'a> Scorer<'a> {
     /// corridor tables; normalization is by the number of specified
     /// positions (wildcards contribute probability 1 and no normalization
     /// mass). Callers must pass `gaps.len() == cells.len()-1` with
-    /// `min <= max` everywhere (debug-asserted).
+    /// `min <= max` everywhere (debug-asserted). The DP's two rows are
+    /// reused across positions and trajectories.
     pub fn nm_gapped(&self, cells: &[CellId], gaps: &[(u8, u8)]) -> f64 {
         debug_assert_eq!(gaps.len() + 1, cells.len());
         debug_assert!(gaps.iter().all(|&(lo, hi)| lo <= hi));
@@ -883,6 +992,8 @@ impl<'a> Scorer<'a> {
         let mut total = 0.0;
         let mut shards = self.shards.borrow_mut();
         let mut buf: Vec<&[f64]> = Vec::new();
+        // dp[j]: best sum with the current position at snapshot j.
+        let (mut dp, mut next): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
         for shard in shards.iter_mut() {
             self.core.build_shard(shard);
             let shard: &Shard<'_> = shard;
@@ -893,12 +1004,13 @@ impl<'a> Scorer<'a> {
                     continue;
                 }
                 self.core.pattern_rows(shard, local, cells, &mut buf);
-                // dp[j]: best sum with the current position at snapshot j.
-                let mut dp: Vec<f64> = buf[0].to_vec();
+                dp.clear();
+                dp.extend_from_slice(buf[0]);
                 for i in 1..m {
                     let (lo, hi) = gaps[i - 1];
                     let row = buf[i];
-                    let mut next = vec![f64::NEG_INFINITY; l];
+                    next.clear();
+                    next.resize(l, f64::NEG_INFINITY);
                     for (j, slot) in next.iter_mut().enumerate() {
                         let mut best_prev = f64::NEG_INFINITY;
                         for g in lo..=hi {
@@ -911,7 +1023,7 @@ impl<'a> Scorer<'a> {
                             *slot = best_prev + row[j];
                         }
                     }
-                    dp = next;
+                    std::mem::swap(&mut dp, &mut next);
                 }
                 let best = dp.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 total += if best.is_finite() {
@@ -1613,6 +1725,82 @@ mod tests {
         batch
     }
 
+    /// The lower-left cells [`corner_data`] comes near, and cells of the
+    /// upper-right corner that it never does.
+    fn near_and_far(grid: &Grid) -> (Vec<CellId>, Vec<CellId>) {
+        let bbox = grid.bbox();
+        let at = |cell: CellId| {
+            let c = grid.center(cell);
+            (
+                (c.x - bbox.min().x) / bbox.width(),
+                (c.y - bbox.min().y) / bbox.height(),
+            )
+        };
+        let near = grid
+            .cells()
+            .filter(|&c| at(c).0 < 0.3 && at(c).1 < 0.3)
+            .collect();
+        let far = grid
+            .cells()
+            .filter(|&c| at(c).0 > 0.7 && at(c).1 > 0.5)
+            .collect();
+        (near, far)
+    }
+
+    /// `p`'s per-trajectory value by the window-by-window scan of its
+    /// table rows (at `min_prob` 1e-9, trajectories of at most 9
+    /// snapshots).
+    fn reference(tables: &[CorridorTable], p: &Pattern, measure: Measure) -> Vec<f64> {
+        let floor = (1e-9f64).ln();
+        let floor_row = [floor; 9];
+        tables
+            .iter()
+            .map(|table| {
+                let rows: Vec<&[f64]> = p
+                    .cells()
+                    .iter()
+                    .map(|&c| table.row(c).unwrap_or(&floor_row[..table.len()]))
+                    .collect();
+                let mean = window_major(&rows, floor);
+                match measure {
+                    Measure::Nm => mean,
+                    Measure::Match => (mean * p.len() as f64).exp(),
+                }
+            })
+            .collect()
+    }
+
+    /// The kernel's scores of `batch` over `data`, for both measures at 1
+    /// and 3 threads, and the `nm_contributions` of every `step`-th
+    /// pattern, equal the [`reference`] bit for bit.
+    fn assert_kernel_matches(
+        data: &Dataset,
+        grid: &Grid,
+        delta: f64,
+        batch: &[Pattern],
+        step: usize,
+    ) {
+        let tables = tables_for(data, grid, delta, 1e-9);
+        for threads in [1, 3] {
+            let s = Scorer::with_threads(data, grid, delta, 1e-9, threads);
+            assert_eq!(s.num_shards(), threads.min(data.len()));
+            for measure in [Measure::Nm, Measure::Match] {
+                let got = s.query(batch).measure(measure).run();
+                for (p, g) in batch.iter().zip(&got) {
+                    let mut want = 0.0;
+                    for c in reference(&tables, p, measure) {
+                        want += c;
+                    }
+                    assert_eq!(g.to_bits(), want.to_bits(), "{p}, {measure:?}");
+                }
+            }
+            for p in batch.iter().step_by(step) {
+                let want = reference(&tables, p, Measure::Nm);
+                assert_eq!(bits(&s.nm_contributions(p)), bits(&want), "{p}");
+            }
+        }
+    }
+
     #[test]
     fn row_major_fold_equals_the_window_major_scan() {
         // The prefix-shared kernel against the window-by-window scan of
@@ -1622,20 +1810,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for grid in kernel_grids() {
             let bbox = grid.bbox();
-            let corner = |cell: CellId| {
-                let c = grid.center(cell);
-                (c.x - bbox.min().x) < 0.3 * bbox.width()
-                    && (c.y - bbox.min().y) < 0.3 * bbox.height()
-            };
-            let near: Vec<CellId> = grid.cells().filter(|&c| corner(c)).collect();
-            let far: Vec<CellId> = grid
-                .cells()
-                .filter(|&c| {
-                    let p = grid.center(c);
-                    (p.x - bbox.min().x) > 0.7 * bbox.width()
-                        && (p.y - bbox.min().y) > 0.5 * bbox.height()
-                })
-                .collect();
+            let (near, far) = near_and_far(&grid);
             let delta = 0.05 * bbox.width();
             let datasets = [
                 corner_data(1, bbox, 3),
@@ -1644,52 +1819,120 @@ mod tests {
                 mixed_data(30, bbox, 6),
             ];
             for data in &datasets {
-                let floor = (1e-9f64).ln();
-                let tables = tables_for(data, &grid, delta, 1e-9);
-                let floor_row = [floor; 9];
-                let reference = |p: &Pattern, measure: Measure| -> Vec<f64> {
-                    tables
-                        .iter()
-                        .map(|table| {
-                            let rows: Vec<&[f64]> = p
-                                .cells()
-                                .iter()
-                                .map(|&c| table.row(c).unwrap_or(&floor_row[..table.len()]))
-                                .collect();
-                            let mean = window_major(&rows, floor);
-                            match measure {
-                                Measure::Nm => mean,
-                                Measure::Match => (mean * p.len() as f64).exp(),
-                            }
-                        })
-                        .collect()
-                };
                 for _ in 0..4 {
                     let unsorted = prefix_runs(&near, &far, &mut rng);
                     let mut sorted = unsorted.clone();
                     sorted.sort();
                     for batch in [&unsorted, &sorted] {
-                        for threads in [1, 3] {
-                            let s = Scorer::with_threads(data, &grid, delta, 1e-9, threads);
-                            assert_eq!(s.num_shards(), threads.min(data.len()));
-                            for measure in [Measure::Nm, Measure::Match] {
-                                let got = s.query(batch).measure(measure).run();
-                                for (p, g) in batch.iter().zip(&got) {
-                                    let mut want = 0.0;
-                                    for c in reference(p, measure) {
-                                        want += c;
-                                    }
-                                    assert_eq!(g.to_bits(), want.to_bits(), "{p}, {measure:?}");
-                                }
-                            }
-                            for p in batch.iter().step_by(7) {
-                                let want = reference(p, Measure::Nm);
-                                assert_eq!(bits(&s.nm_contributions(p)), bits(&want), "{p}");
-                            }
-                        }
+                        assert_kernel_matches(data, &grid, delta, batch, 7);
                     }
                 }
             }
+        }
+    }
+
+    /// Runs that put the kernel's memoised maxima at their boundaries,
+    /// sorted, so every scorer visits them as listed. `n` needs 3 cells
+    /// and `f` 6.
+    fn memo_runs(n: &[CellId], f: &[CellId]) -> Vec<Pattern> {
+        let p = |cells: &[CellId]| Pattern::new(cells.to_vec()).unwrap();
+        let mut batch = Vec::new();
+        // Near level-2 and level-3 prefixes read row-less twice, with a
+        // pattern longer than most trajectories between the reads. The
+        // next run rewrites those levels and again ends row-less, so a
+        // stale level maximum would show.
+        for (a, b) in [(n[0], n[1]), (n[0], n[2]), (n[1], n[0])] {
+            batch.push(p(&[a, b, f[0]]));
+            batch.push(p(&[a, b, f[0], f[1], f[2], f[3], f[4], f[5], f[0]]));
+            batch.push(p(&[a, b, f[1]]));
+            batch.push(p(&[a, b, b, f[0]]));
+            batch.push(p(&[a, b, b, f[1]]));
+            batch.push(p(&[a, b, n[2], f[0]]));
+            batch.push(p(&[a, b, n[2], f[1]]));
+        }
+        // Row-less prefixes ending in the same near cell at depths 1–4,
+        // each depth reached by two prefixes.
+        for &c in &n[..3] {
+            for d in 1..5 {
+                batch.push(p(&[&f[..d], &[c]].concat()));
+                batch.push(p(&[&f[1..=d], &[c]].concat()));
+            }
+        }
+        batch.sort();
+        batch
+    }
+
+    #[test]
+    fn memoised_maxima_equal_the_window_major_scan() {
+        // The memoised level and row-suffix maxima against the
+        // window-by-window scan, bit for bit, over one trajectory and over
+        // many (with trajectories shorter than patterns mid-run).
+        for grid in kernel_grids() {
+            let bbox = grid.bbox();
+            let (near, far) = near_and_far(&grid);
+            let delta = 0.05 * bbox.width();
+            let batch = memo_runs(&near, &far);
+            for data in [
+                corner_data(1, bbox, 7),
+                corner_data(40, bbox, 8),
+                mixed_data(40, bbox, 9),
+            ] {
+                assert_kernel_matches(&data, &grid, delta, &batch, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_outside_the_grid_scores_the_floor() {
+        // Through the public query: an out-of-grid position adds the
+        // floor, as a grid cell no snapshot comes near (cell 0) does.
+        let (data, grid) = setup(24, 0.01);
+        let out = grid.num_cells() + 3;
+        let floor = (1e-12f64).ln();
+        for threads in [1, 3] {
+            let s = Scorer::with_threads(&data, &grid, 0.1, 1e-12, threads);
+            let with = |c: u32| [pat(&[c]), pat(&[8, c]), pat(&[c, 9, c]), pat(&[9, 10, c])];
+            for measure in [Measure::Nm, Measure::Match] {
+                let got = s.query(&with(out)).measure(measure).run();
+                let want = s.query(&with(0)).measure(measure).run();
+                assert_eq!(bits(&got), bits(&want), "{measure:?}");
+            }
+            let mut floors = 0.0;
+            for _ in 0..data.len() {
+                floors += floor;
+            }
+            assert_eq!(s.nm(&pat(&[out])).to_bits(), floors.to_bits());
+            assert_eq!(
+                bits(&s.nm_contributions(&pat(&[out, 9]))),
+                bits(&s.nm_contributions(&pat(&[0, 9])))
+            );
+            assert_eq!(
+                s.nm_gapped(&[CellId(8), CellId(out)], &[(0, 1)]).to_bits(),
+                s.nm_gapped(&[CellId(8), CellId(0)], &[(0, 1)]).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_pattern_longer_than_every_trajectory_takes_no_scratch_per_position() {
+        // 100k distinct out-of-grid cells over 4-snapshot trajectories:
+        // every contribution is the floor, alone and beside a short
+        // pattern, and the kernel's scratch stays sized by the shard
+        // (sized by the pattern, it would take gigabytes).
+        let (data, grid) = setup(24, 0.01);
+        let out = grid.num_cells();
+        let long = Pattern::new((0..100_000).map(|i| CellId(out + i)).collect()).unwrap();
+        let floor = (1e-12f64).ln();
+        for threads in [1, 3] {
+            let s = Scorer::with_threads(&data, &grid, 0.1, 1e-12, threads);
+            assert_eq!(
+                bits(&s.nm_contributions(&long)),
+                bits(&vec![floor; data.len()])
+            );
+            let short = pat(&[8, 9]);
+            let got = s.query(&[long.clone(), short.clone()]).run();
+            assert_eq!(got[0].to_bits(), s.nm(&pat(&[out])).to_bits());
+            assert_eq!(got[1].to_bits(), s.nm(&short).to_bits());
         }
     }
 
